@@ -18,15 +18,15 @@
 //   produced in one-million-row chunks that are regenerated
 //   deterministically per chunk index, scanned by the dispatched SIMD
 //   kernel AND the scalar reference while resident, then discarded. The
-//   global argmin folds across chunks through the running best (the same
-//   fold contract the sharded classify uses), so the result is
+//   global argmin folds across chunks through the running best (the
+//   range-fold contract of nearest_signature_scan), so the result is
 //   bit-identical to a flat scan of all 100M rows — without ever holding
 //   more than one chunk (~128 MB) in memory. A peak-RSS gate proves the
 //   full 12.8 GB set never materializes.
 //
 // A cache-resident SIMD section reports scalar-vs-dispatched speedups for
-// the four kernel families (distance scan, sketch prune, k-means
-// assignment, least-squares solve) as SIMD_* markers and gates the
+// the three kernel families (distance scan, k-means assignment,
+// least-squares solve) as SIMD_* markers and gates the
 // distance scan at >= 2x when the CPU has any vector level at all.
 //
 // HARMONY_HISTORY_SCALE overrides the streamed record count (default
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
     ls_ok = same && speedup >= 10.0;
     t.add_row({"least-square legacy (copy/call)", "-",
                Table::num(ls_legacy_ns, 0), "1.0"});
-    t.add_row({"least-square fitted (flat scan)", Table::num(fit_ms, 2),
+    t.add_row({"least-square fitted (k-d index)", Table::num(fit_ms, 2),
                Table::num(ls_fitted_ns, 0), Table::num(speedup, 1)});
     bench::finding(same, "least-square: flat-index results match legacy");
     (void)sink;
@@ -449,7 +449,7 @@ int main(int argc, char** argv) {
   // best-of-N. Dispatched level vs the scalar blocked reference.
   bool simd_ok = true;
   if (!store_mode) {
-    // 4096 rows x 16 dims = 512 KB: resident in L2 alongside the sketch,
+    // 4096 rows x 16 dims = 512 KB: resident in L2,
     // where the ISA win is largest and stablest (8K rows already brushes
     // the 2 MB L2 and the measurement turns bandwidth-bound).
     const std::size_t rows = 4096;
@@ -458,19 +458,6 @@ int main(int argc, char** argv) {
     for (double& v : block) v = krng.uniform01();
     std::vector<double> q(dims);
     for (double& v : q) v = krng.uniform01();
-
-    constexpr std::size_t kPrefix = LeastSquareClassifier::kSketchPrefix;
-    std::vector<double> sketch(rows * (kPrefix + 1));
-    for (std::size_t i = 0; i < rows; ++i) {
-      const double* row = block.data() + i * dims;
-      for (std::size_t d = 0; d < kPrefix; ++d) sketch[d * rows + i] = row[d];
-      double rest = 0.0;
-      for (std::size_t d = kPrefix; d < dims; ++d) rest += row[d] * row[d];
-      sketch[kPrefix * rows + i] = std::sqrt(rest);
-    }
-    double qrest = 0.0;
-    for (std::size_t d = kPrefix; d < dims; ++d) qrest += q[d] * q[d];
-    qrest = std::sqrt(qrest);
 
     // Best-of-N seconds for `iters` runs of `body` (noise shrinks, never
     // inflates, the reported speedups).
@@ -505,17 +492,6 @@ int main(int argc, char** argv) {
       }
     }
     const double dist_speedup = dist_scalar_s / dist_disp_s;
-
-    const auto prune_at = [&](SimdLevel lvl) {
-      return best_of(5, 200, [&] {
-        double d = std::numeric_limits<double>::infinity();
-        std::size_t i = 0;
-        sketch_pruned_scan_level(lvl, block.data(), dims, sketch.data(), rows,
-                                 0, rows, q.data(), qrest, d, i);
-        sink += i;
-      });
-    };
-    const double prune_speedup = prune_at(SimdLevel::kScalar) / prune_at(disp);
 
     // K-means assignment: every row against 64 resident centroids.
     const std::size_t k = 64;
@@ -553,12 +529,10 @@ int main(int argc, char** argv) {
     t.add_row({"simd distance scan (" + std::string(simd_level_name(disp)) +
                    " vs scalar)",
                "-", "-", Table::num(dist_speedup, 2)});
-    t.add_row({"simd sketch prune", "-", "-", Table::num(prune_speedup, 2)});
     t.add_row({"simd k-means assign", "-", "-", Table::num(kmeans_speedup, 2)});
     t.add_row({"simd lstsq solve", "-", "-", Table::num(lstsq_speedup, 2)});
     std::printf("SIMD_level %s\n", simd_level_name(disp));
     std::printf("SIMD_distance_scan_speedup %.2f\n", dist_speedup);
-    std::printf("SIMD_sketch_prune_speedup %.2f\n", prune_speedup);
     std::printf("SIMD_kmeans_assign_speedup %.2f\n", kmeans_speedup);
     std::printf("SIMD_lstsq_solve_speedup %.2f\n", lstsq_speedup);
 

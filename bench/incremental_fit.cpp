@@ -10,10 +10,18 @@
 // absorbs 64 rows) and off (few batches; every refit rebuilds from the
 // full database).
 //
+// The least-square model absorbs appends into an unindexed tail and
+// re-indexes once the tail passes an eighth of the indexed rows, so its
+// initial fit covers fewer rows and the untimed rest of the seed brings the
+// tail within half a window of that threshold: one re-index falls inside
+// the timed batches, and the mean charges it to 40 batches rather than the
+// ~records/500 batches it really amortizes over — a conservative measure.
+//
 // Gates: incremental refit >= 5x cheaper than the full rebuild for the
 // least-square and decision-tree classifiers (their incremental paths are
-// exact), and the maintained least-square model — sketch planes included —
-// must be bit-identical to a fresh fit over the same view. K-means is
+// exact), the least-square window must contain a re-index, and the
+// maintained least-square model must answer every probe exactly like a
+// fresh fit over the same view. K-means is
 // quality-gated rather than exact, so its speedup and probe agreement are
 // report-only. HARMONY_INCFIT_GATES=0 reports without failing (reduced
 // workloads are not the gated configuration).
@@ -101,7 +109,7 @@ struct RunResult {
   std::uint64_t escalations = 0;  ///< full fits during the incremental run
   std::size_t probes_agree = 0;
   std::size_t probes = 0;
-  bool sketch_identical = true;  ///< least-square only
+  int reindexes = 0;  ///< least-square: timed batches that rebuilt the index
 };
 
 RunResult run_classifier(const std::string& kind, std::size_t records) {
@@ -111,7 +119,13 @@ RunResult run_classifier(const std::string& kind, std::size_t records) {
   const std::size_t ingest_total =
       static_cast<std::size_t>(kBatch) * (kIncrBatches + kFullBatches);
   db.reserve(records + ingest_total, (records + ingest_total) * kSigDims);
-  for (std::size_t i = 0; i < records; ++i) {
+  // Least-square: index I rows with the tail (records - I) half a window
+  // short of I/8, i.e. I = (records + window/2) * 8/9.
+  const std::size_t lstsq_first_fit = std::min(
+      records, (records + kBatch * kIncrBatches / 2) * 8 / 9);
+  const std::size_t first_fit =
+      kind == "least-square" ? lstsq_first_fit : records;
+  for (std::size_t i = 0; i < first_fit; ++i) {
     db.add(make_record(centers, i, rng));
   }
 
@@ -126,18 +140,27 @@ RunResult run_classifier(const std::string& kind, std::size_t records) {
   DataAnalyzer analyzer(classifier);
   set_incremental_fit(true);
   analyzer.ensure_fitted(db);  // the initial build; not part of steady state
+  for (std::size_t i = first_fit; i < records; ++i) {
+    db.add(make_record(centers, i, rng));
+  }
+  analyzer.ensure_fitted(db);
   classifier->reset_refit_stats();
+  const auto* lstsq =
+      dynamic_cast<const LeastSquareClassifier*>(classifier.get());
 
   // --- steady state, delta path on ---------------------------------------
   std::size_t ingested = records;
   double incr_secs = 0.0;
+  int reindexes = 0;
   for (int b = 0; b < kIncrBatches; ++b) {
     for (int i = 0; i < kBatch; ++i) {
       db.add(make_record(centers, ingested++, rng));
     }
+    const std::size_t indexed = lstsq ? lstsq->indexed_rows() : 0;
     const auto t0 = std::chrono::steady_clock::now();
     analyzer.ensure_fitted(db);
     incr_secs += seconds_since(t0);
+    if (lstsq && lstsq->indexed_rows() != indexed) ++reindexes;
     for (int i = 0; i < kClassifies; ++i) {
       (void)analyzer.classify(db, probes[static_cast<std::size_t>(i) %
                                          probes.size()]);
@@ -148,6 +171,7 @@ RunResult run_classifier(const std::string& kind, std::size_t records) {
   out.incr_refits = classifier->refit_stats().incremental;
   out.escalations = classifier->refit_stats().full;
   out.incr_us = incr_secs / kIncrBatches * 1e6;
+  out.reindexes = reindexes;
 
   // --- end-state equivalence against a fresh fit --------------------------
   DataAnalyzer fresh(make_classifier(kind));
@@ -158,29 +182,6 @@ RunResult run_classifier(const std::string& kind, std::size_t records) {
       ++out.probes_agree;
     }
   }
-  if (kind == "least-square") {
-    const auto* inc =
-        static_cast<const LeastSquareClassifier*>(analyzer.classifier().get());
-    const auto* ref =
-        static_cast<const LeastSquareClassifier*>(fresh.classifier().get());
-    const SignatureView view = db.signature_view();
-    if ((inc->sketch_data() == nullptr) != (ref->sketch_data() == nullptr)) {
-      out.sketch_identical = false;
-    } else if (inc->sketch_data() != nullptr) {
-      for (std::size_t plane = 0;
-           plane <= LeastSquareClassifier::kSketchPrefix; ++plane) {
-        const double* a = inc->sketch_data() + plane * inc->sketch_stride();
-        const double* b = ref->sketch_data() + plane * ref->sketch_stride();
-        for (std::size_t i = 0; i < view.count; ++i) {
-          if (a[i] != b[i]) {
-            out.sketch_identical = false;
-            break;
-          }
-        }
-      }
-    }
-  }
-
   // --- baseline, delta path off (every refit rebuilds from the full db) ---
   set_incremental_fit(false);
   double full_secs = 0.0;
@@ -215,7 +216,7 @@ int main() {
       "with the delta-aware refit path on, a steady-state dispatch batch "
       "(64 ingests + refit + 8 retrievals) pays an O(batch) model update "
       ">= 5x cheaper than the O(db) rebuild, and the maintained "
-      "least-square model stays bit-identical to a fresh fit");
+      "least-square model answers exactly like a fresh fit");
 
   Table table({"classifier", "rows", "full refit", "incr refit", "speedup",
                "incr/full refits", "probe agreement"});
@@ -247,14 +248,16 @@ int main() {
   std::printf("INCFIT_KMEANS_ESCALATIONS %llu\n",
               static_cast<unsigned long long>(kmeans.escalations));
 
+  std::printf("INCFIT_LSTSQ_REINDEXES %d\n", lstsq.reindexes);
   const bool lstsq_ok = lstsq.speedup >= 5.0 && lstsq.escalations == 0 &&
-                        lstsq.probes_agree == lstsq.probes &&
-                        lstsq.sketch_identical;
+                        lstsq.reindexes >= 1 &&
+                        lstsq.probes_agree == lstsq.probes;
   const bool tree_ok = tree.speedup >= 5.0 && tree.escalations == 0 &&
                        tree.probes_agree == tree.probes;
   bench::finding(lstsq_ok,
-                 "least-square delta refit >= 5x cheaper, zero escalations, "
-                 "classifications and sketch planes bit-identical");
+                 "least-square delta refit >= 5x cheaper with a re-index "
+                 "in the window, zero escalations, classifications "
+                 "identical");
   bench::finding(tree_ok,
                  "decision-tree delta refit >= 5x cheaper, zero escalations, "
                  "classifications identical");

@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the kernels the tuning loop and
 // the simulator sit on: DES event throughput, one full cluster simulation,
 // simplex search cost on an analytic landscape, the triangulation solve,
-// RSL parsing and the sensitivity sweep.
+// least-square retrieval and index build, RSL parsing and the sensitivity
+// sweep.
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -332,41 +333,95 @@ void BM_DistanceScanLevel(benchmark::State& state) {
 BENCHMARK(BM_DistanceScanLevel)
     ->Args({0, 1 << 17})->Args({1, 1 << 17})->Args({2, 1 << 17});
 
-void BM_SketchPrunedScanLevel(benchmark::State& state) {
-  const auto level = static_cast<SimdLevel>(state.range(0));
-  if (skip_unsupported(state, level)) return;
-  const auto count = static_cast<std::size_t>(state.range(1));
-  const std::size_t dims = 16;
-  constexpr std::size_t kPrefix = LeastSquareClassifier::kSketchPrefix;
-  Rng rng(11);
-  std::vector<double> data(count * dims);
-  for (double& v : data) v = rng.uniform01();
-  // Plane-major sketch, the layout LeastSquareClassifier::fit builds.
-  std::vector<double> sketch(count * (kPrefix + 1));
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* row = data.data() + i * dims;
-    for (std::size_t d = 0; d < kPrefix; ++d) sketch[d * count + i] = row[d];
-    double rest = 0.0;
-    for (std::size_t d = kPrefix; d < dims; ++d) rest += row[d] * row[d];
-    sketch[kPrefix * count + i] = std::sqrt(rest);
+// ---------------------------------------------------------------------------
+// Least-square retrieval through the k-d index. Args: {clustered (0/1),
+// dims, rows}. Clustered rows sit around 32 centres (sd 0.02, like the
+// served workloads' 32 families) and the queries come from the same mix;
+// uniform rows and queries fill the unit cube. The fitted set is cached
+// across the runs of one argument set (the first run pays the build).
+
+struct LeastSquareFixture {
+  std::vector<std::int64_t> key;
+  HistoryDatabase db;
+  std::vector<WorkloadSignature> queries;
+  LeastSquareClassifier ls;
+};
+
+WorkloadSignature draw_signature(Rng& rng, bool clustered,
+                                 const std::vector<double>& centres,
+                                 std::size_t dims) {
+  WorkloadSignature sig(dims);
+  const std::size_t c = static_cast<std::size_t>(rng.uniform_int(0, 31));
+  for (std::size_t d = 0; d < dims; ++d) {
+    sig[d] = clustered ? centres[c * dims + d] + 0.02 * rng.normal()
+                       : rng.uniform01();
   }
-  std::vector<double> query(dims);
-  for (double& v : query) v = rng.uniform01();
-  double qrest = 0.0;
-  for (std::size_t d = kPrefix; d < dims; ++d) qrest += query[d] * query[d];
-  qrest = std::sqrt(qrest);
-  for (auto _ : state) {
-    double best_d = std::numeric_limits<double>::infinity();
-    std::size_t best_i = 0;
-    sketch_pruned_scan_level(level, data.data(), dims, sketch.data(), count,
-                             0, count, query.data(), qrest, best_d, best_i);
-    benchmark::DoNotOptimize(best_i);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(1));
-  state.SetLabel(simd_level_name(level));
+  return sig;
 }
-BENCHMARK(BM_SketchPrunedScanLevel)
-    ->Args({0, 1 << 17})->Args({1, 1 << 17})->Args({2, 1 << 17});
+
+const LeastSquareFixture& least_square_fixture(const benchmark::State& state,
+                                               bool fit) {
+  static std::unique_ptr<LeastSquareFixture> cached;
+  const std::vector<std::int64_t> key = {state.range(0), state.range(1),
+                                         state.range(2), fit ? 1 : 0};
+  if (!cached || cached->key != key) {
+    cached.reset();  // free the previous set before building the next
+    auto f = std::make_unique<LeastSquareFixture>();
+    f->key = key;
+    const bool clustered = state.range(0) != 0;
+    const auto dims = static_cast<std::size_t>(state.range(1));
+    const auto rows = static_cast<std::size_t>(state.range(2));
+    Rng rng(41);
+    std::vector<double> centres(32 * dims);
+    for (double& v : centres) v = rng.uniform01();
+    f->db.reserve(rows, rows * dims);
+    for (std::size_t i = 0; i < rows; ++i) {
+      ExperienceRecord rec;
+      rec.signature = draw_signature(rng, clustered, centres, dims);
+      f->db.add(std::move(rec));
+    }
+    for (int q = 0; q < 64; ++q) {
+      f->queries.push_back(draw_signature(rng, clustered, centres, dims));
+    }
+    if (fit) f->ls.fit(f->db.signature_view());
+    cached = std::move(f);
+  }
+  return *cached;
+}
+
+std::string least_square_label(const benchmark::State& state) {
+  return std::string(state.range(0) != 0 ? "clustered" : "uniform") + " " +
+         std::to_string(state.range(1)) + "d";
+}
+
+void BM_LeastSquareClassify(benchmark::State& state) {
+  const LeastSquareFixture& f = least_square_fixture(state, true);
+  std::size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.ls.classify(f.queries[q]));
+    q = (q + 1) % f.queries.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(least_square_label(state));
+}
+BENCHMARK(BM_LeastSquareClassify)
+    ->ArgsProduct({{1, 0}, {8, 16}, {10'000, 100'000, 1'000'000}})
+    ->Unit(benchmark::kMicrosecond);
+
+// The index build alone (LeastSquareClassifier::fit over a fresh view).
+void BM_LeastSquareFit(benchmark::State& state) {
+  const LeastSquareFixture& f = least_square_fixture(state, false);
+  for (auto _ : state) {
+    LeastSquareClassifier ls;
+    ls.fit(f.db.signature_view());
+    benchmark::DoNotOptimize(ls.indexed_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(2));
+  state.SetLabel(least_square_label(state));
+}
+BENCHMARK(BM_LeastSquareFit)
+    ->Args({1, 8, 500'000})
+    ->Unit(benchmark::kMillisecond);
 
 // The k-means inner loop: assign every row to its nearest of 64 centroids.
 void BM_KMeansAssignLevel(benchmark::State& state) {

@@ -7,12 +7,15 @@
 //   cold start — time from "process knows the store prefix" to "first
 //                classify answered", three ways over the same bytes:
 //                  mmap    — ExperienceStore::open adopts the snapshot
-//                            zero-copy (borrowed SoA index + borrowed prune
-//                            sketch), fit is O(1), classify pages data in.
+//                            zero-copy (borrowed SoA rows + borrowed k-d
+//                            index, whose row ids are checked at open in
+//                            one O(n) pass), fit is O(1), classify pages
+//                            in the few leaves it visits.
 //                  replay  — record-by-record rebuild from the snapshot's
 //                            own blobs: decode every record, re-add it,
-//                            refit from scratch. The binary lower bound of
-//                            any record-at-a-time loader.
+//                            refit from scratch (an O(n log n) index
+//                            build). The binary lower bound of any
+//                            record-at-a-time loader.
 //                  text    — the repo's pre-existing persistence: the
 //                            versioned text format, parsed record by
 //                            record. What cold start cost before the store
@@ -22,10 +25,9 @@
 // full one-million-record scale (>= 20x at reduced scales, where constant
 // costs dominate), beat the binary replay by >= 5x, and all three paths
 // must answer the first classify with the identical record index. The
-// replay gate is deliberately lower than the text gate: at full scale the
-// first classify itself scans the whole signature set (the clustered
-// population defeats sketch pruning, the honest worst case), and that
-// shared cost bounds how far ahead of a binary decoder any loader can get.
+// replay gate is deliberately lower than the text gate: both in-memory
+// loaders share the decode cost, which bounds how far ahead of a binary
+// decoder any loader can get.
 //
 // HARMONY_PERSIST_SCALE overrides the record count (default 1,000,000) for
 // quick local runs and CI smokes.

@@ -1,7 +1,9 @@
 #include "core/analyzer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -10,7 +12,6 @@
 
 #include "linalg/simd_kernels.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace harmony {
 
@@ -193,148 +194,279 @@ std::size_t Classifier::classify(const WorkloadSignature& observed,
 }
 
 // --------------------------------------------------------------------------
-// Least-square (brute force over the flat store)
+// Least-square (exact k-d index over the flat store)
 
-bool signature_sketch_applicable(const SignatureView& view) {
-  // Rows must be wide enough for the bound to pay for itself.
-  return !view.empty() && view.dims != SignatureView::kMixedDims &&
-         view.dims > LeastSquareClassifier::kSketchPrefix + 1;
+namespace {
+
+/// Leaf-order positions [begin, end) owned by node k of the index over
+/// `rows` rows.
+inline std::pair<std::size_t, std::size_t> node_range(std::size_t k,
+                                                      std::size_t rows) {
+  const auto depth = static_cast<unsigned>(std::bit_width(k + 1) - 1);
+  const std::size_t p = k + 1 - (std::size_t{1} << depth);
+  return {(p * rows) >> depth, ((p + 1) * rows) >> depth};
 }
 
-void build_signature_sketch(const SignatureView& view, double* out) {
-  constexpr std::size_t kPrefix = LeastSquareClassifier::kSketchPrefix;
-  const std::size_t dims = view.dims;
-  const std::size_t count = view.count;
-  // Plane-major: coordinate planes first, rest-norm plane last, so the
-  // SIMD prefix filter reads contiguous runs of rows per plane.
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* row = view.row(i);
-    for (std::size_t d = 0; d < kPrefix; ++d) {
-      out[d * count + i] = row[d];
-    }
-    double rest = 0.0;
-    for (std::size_t d = kPrefix; d < dims; ++d) {
-      rest += row[d] * row[d];
-    }
-    out[kPrefix * count + i] = std::sqrt(rest);
+/// Forward sum of fl(gap_d^2) from the query to the box (lows, then highs):
+/// term by term <= the reference distance of any row inside the box.
+inline double box_bound(const double* box, std::size_t dims,
+                        const double* q) {
+  const double* lo = box;
+  const double* hi = box + dims;
+  double acc = 0.0;
+  for (std::size_t d = 0; d < dims; ++d) {
+    const double gap =
+        q[d] < lo[d] ? lo[d] - q[d] : (q[d] > hi[d] ? q[d] - hi[d] : 0.0);
+    acc += gap * gap;
   }
+  return acc;
+}
+
+/// Bounding box (dims lows, then dims highs) of rows ids[b, e). NaN
+/// coordinates never enter it — min/max keep the box operand on a NaN —
+/// and such a row's distance is NaN for every query, so it never wins.
+void row_box(const SignatureView& view, const std::uint32_t* ids,
+             std::size_t b, std::size_t e, double* box) {
+  const std::size_t dims = view.dims;
+  double* lo = box;
+  double* hi = box + dims;
+  std::fill(lo, hi, std::numeric_limits<double>::infinity());
+  std::fill(hi, hi + dims, -std::numeric_limits<double>::infinity());
+  for (std::size_t i = b; i < e; ++i) {
+    const double* row = view.data + ids[i] * dims;
+    for (std::size_t d = 0; d < dims; ++d) {
+      lo[d] = std::min(lo[d], row[d]);
+      hi[d] = std::max(hi[d], row[d]);
+    }
+  }
+}
+
+/// The key of rank k (0-based) in `keys` (no NaN) and the count of keys
+/// strictly below it. A stride sample brackets the rank, one branch-free
+/// pass keeps the keys inside the bracket, and nth_element runs on those
+/// alone; a missed bracket falls back to the whole set. Deterministic.
+std::pair<double, std::size_t> select_rank(const std::vector<double>& keys,
+                                           std::size_t k,
+                                           std::vector<double>& work) {
+  const std::size_t n = keys.size();
+  constexpr std::size_t kSample = 512;
+  constexpr std::size_t kMargin = 24;
+  work.resize(n);
+  std::size_t below = 0;  // keys left out under the bracket
+  std::size_t m = n;      // keys in work
+  bool bracketed = false;
+  if (n >= 8 * kSample) {
+    std::array<double, kSample> sample;
+    for (std::size_t i = 0; i < kSample; ++i) {
+      sample[i] = keys[i * (n / kSample)];
+    }
+    std::sort(sample.begin(), sample.end());
+    const std::size_t at = k * kSample / n;
+    const double lo = sample[at > kMargin ? at - kMargin : 0];
+    const double hi = sample[std::min(at + kMargin, kSample - 1)];
+    m = 0;
+    for (const double v : keys) {
+      below += v < lo ? 1 : 0;
+      work[m] = v;
+      m += (v >= lo) & (v <= hi) ? 1 : 0;
+    }
+    bracketed = below <= k && k < below + m;
+  }
+  if (!bracketed) {
+    below = 0;
+    m = n;
+    std::copy(keys.begin(), keys.end(), work.begin());
+  }
+  const auto nth = work.begin() + static_cast<long>(k - below);
+  std::nth_element(work.begin(), nth, work.begin() + static_cast<long>(m));
+  // Everything before nth is <= the pivot; count the strict ones.
+  for (auto it = work.begin(); it != nth; ++it) below += *it < *nth ? 1 : 0;
+  return {*nth, below};
+}
+
+/// Folds the rows `index` covers into the running (best_dist_sq,
+/// best_index) pair in (distance, row id) order, near child first.
+void search_signature_index(const SignatureView& view,
+                            const SignatureIndexView& index, const double* q,
+                            double& best_dist_sq, std::size_t& best_index) {
+  if (index.rows == 0) return;
+  const std::size_t dims = view.dims;
+  const std::size_t stride = 2 * dims;
+  const std::size_t first_leaf = signature_index_nodes(index.rows) / 2;
+  // Depth-first with the near child on top: at most one pending sibling
+  // per level (depth <= 26 for u32 row ids). Entries: (node, box bound).
+  std::array<std::pair<std::size_t, double>, 64> stack;
+  std::size_t top = 0;
+  stack[top++] = {0, box_bound(index.boxes, dims, q)};
+  while (top > 0) {
+    const auto [node, bound] = stack[--top];
+    // Strictly greater only: a row at exactly the best distance may still
+    // win on a lower id.
+    if (bound > best_dist_sq) continue;
+    if (node >= first_leaf) {
+      const auto [b, e] = node_range(node, index.rows);
+      for (std::size_t i = b; i < e; ++i) {
+        const std::size_t id = index.ids[i];
+        const double d = row_partial(view.data + id * dims, q, 0, dims, 0.0);
+        if (d < best_dist_sq || (d == best_dist_sq && id < best_index)) {
+          best_dist_sq = d;
+          best_index = id;
+        }
+      }
+      continue;
+    }
+    const std::size_t l = 2 * node + 1;
+    const double bl = box_bound(index.boxes + l * stride, dims, q);
+    const double br = box_bound(index.boxes + (l + 1) * stride, dims, q);
+    const bool left_near = bl <= br;
+    stack[top++] = left_near ? std::pair{l + 1, br} : std::pair{l, bl};
+    stack[top++] = left_near ? std::pair{l, bl} : std::pair{l + 1, br};
+  }
+}
+
+}  // namespace
+
+std::size_t signature_index_nodes(std::size_t rows) noexcept {
+  std::size_t leaves = 1;
+  while (leaves * kSignatureIndexLeafRows < rows) leaves *= 2;
+  return 2 * leaves - 1;
+}
+
+bool signature_index_applicable(const SignatureView& v) noexcept {
+  return !v.empty() && v.dims != SignatureView::kMixedDims && v.dims > 0 &&
+         v.count <= std::numeric_limits<std::uint32_t>::max();
+}
+
+void build_signature_index(const SignatureView& view,
+                           std::vector<double>& boxes,
+                           std::vector<std::uint32_t>& ids) {
+  HARMONY_REQUIRE(signature_index_applicable(view),
+                  "signature index needs uniform non-zero arity");
+  const std::size_t rows = view.count;
+  const std::size_t dims = view.dims;
+  const std::size_t stride = 2 * dims;
+  const std::size_t nodes = signature_index_nodes(rows);
+  const std::size_t first_leaf = nodes / 2;
+  ids.resize(rows);
+  std::iota(ids.begin(), ids.end(), std::uint32_t{0});
+  boxes.resize(nodes * stride);
+
+  // Top-down: each internal node splits its cell (the root box narrowed by
+  // the ancestors' split planes) along the cell's widest dimension, at the
+  // median row; the exact boxes are computed bottom-up afterwards. Stable
+  // partitions keep every node's ids ascending, so passes read rows in
+  // address order and the leaves come out sorted.
+  std::vector<double> cells(first_leaf * stride);
+  if (first_leaf > 0) row_box(view, ids.data(), 0, rows, cells.data());
+  std::vector<double> keys;
+  std::vector<double> work;
+  std::vector<std::uint32_t> scratch;
+  for (std::size_t k = 0; k < first_leaf; ++k) {
+    const auto [b, e] = node_range(k, rows);
+    const double* cell = cells.data() + k * stride;
+    std::size_t split = 0;
+    double widest = 0.0;
+    for (std::size_t d = 0; d < dims; ++d) {
+      if (cell[dims + d] - cell[d] > widest) {
+        widest = cell[dims + d] - cell[d];
+        split = d;
+      }
+    }
+    // Split keys; NaN maps to +inf so plain < is a strict weak order. Any
+    // partition keeps the search exact (the boxes come from the rows), so
+    // the mapping only has to be deterministic.
+    keys.resize(e - b);
+    for (std::size_t i = b; i < e; ++i) {
+      const double v = view.data[ids[i] * dims + split];
+      keys[i - b] = std::isnan(v) ? std::numeric_limits<double>::infinity() : v;
+    }
+    const std::size_t left = node_range(2 * k + 1, rows).second - b;
+    const auto [pivot, less] = select_rank(keys, left, work);
+    // Stable branch-free partition: keys below the pivot, then pivot ties
+    // in order until the left side holds exactly `left` rows.
+    std::size_t ties_left = left - less;
+    scratch.resize(e - b);
+    std::size_t l = 0;
+    std::size_t r = left;
+    for (std::size_t i = 0; i < e - b; ++i) {
+      // Masks, not branches: the side is a coin flip per row.
+      const auto tie = static_cast<std::size_t>(keys[i] == pivot) &
+                       static_cast<std::size_t>(ties_left > 0);
+      const auto go_left = static_cast<std::size_t>(keys[i] < pivot) | tie;
+      const std::size_t mask = 0 - go_left;
+      scratch[(l & mask) | (r & ~mask)] = ids[b + i];
+      ties_left -= tie;
+      l += go_left;
+      r += 1 - go_left;
+    }
+    std::copy(scratch.begin(), scratch.end(),
+              ids.begin() + static_cast<long>(b));
+    if (2 * k + 1 < first_leaf) {
+      double* lc = cells.data() + (2 * k + 1) * stride;
+      double* rc = lc + stride;
+      std::copy(cell, cell + stride, lc);
+      std::copy(cell, cell + stride, rc);
+      lc[dims + split] = pivot;
+      rc[split] = pivot;
+    }
+  }
+  for (std::size_t k = nodes; k-- > first_leaf;) {
+    const auto [b, e] = node_range(k, rows);
+    row_box(view, ids.data(), b, e, boxes.data() + k * stride);
+  }
+  for (std::size_t k = first_leaf; k-- > 0;) {
+    double* box = boxes.data() + k * stride;
+    const double* lc = boxes.data() + (2 * k + 1) * stride;
+    const double* rc = lc + stride;
+    for (std::size_t d = 0; d < dims; ++d) {
+      box[d] = std::min(lc[d], rc[d]);
+      box[dims + d] = std::max(lc[dims + d], rc[dims + d]);
+    }
+  }
+}
+
+bool signature_index_well_formed(const std::uint32_t* ids, std::size_t rows) {
+  if (rows == 0 || rows > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  std::vector<bool> seen(rows);
+  const std::size_t nodes = signature_index_nodes(rows);
+  for (std::size_t k = nodes / 2; k < nodes; ++k) {
+    const auto [b, e] = node_range(k, rows);
+    for (std::size_t i = b; i < e; ++i) {
+      const std::uint32_t id = ids[i];
+      if (id >= rows || seen[id] || (i > b && id <= ids[i - 1])) return false;
+      seen[id] = true;
+    }
+  }
+  return true;
 }
 
 void LeastSquareClassifier::fit(const SignatureView& view) {
-  view_ = view;
-  sketch_.clear();
-  sketch_ptr_ = nullptr;
-  sketch_stride_ = 0;
-  if (signature_sketch_applicable(view)) {
-    if (view.sketch != nullptr) {
-      // Snapshot-backed store: borrow the persisted sketch (bit-identical
-      // to what build_signature_sketch would produce from the same rows).
-      sketch_ptr_ = view.sketch;
-    } else {
-      sketch_.resize(view.count * (kSketchPrefix + 1));
-      build_signature_sketch(view, sketch_.data());
-      sketch_ptr_ = sketch_.data();
-    }
-    sketch_stride_ = view.count;
-  }
+  index_ = view.index.rows <= view.count ? view.index : SignatureIndexView{};
+  adopt(view);
   set_fitted(view);
 }
 
 bool LeastSquareClassifier::update(const SignatureView& view,
-                                   std::size_t first_new_row) {
-  // Shape changes (sketched <-> unsketched, arity drift into mixed) mean
-  // the model the full fit would build differs structurally — escalate.
-  if (signature_sketch_applicable(view) != (sketch_ptr_ != nullptr)) {
-    return false;
-  }
-  if (sketch_ptr_ == nullptr) {
-    // Unsketched set (narrow or mixed arity): the model is just the view.
-    view_ = view;
-    return true;
-  }
+                                   std::size_t /*first_new_row*/) {
+  // Rows [0, fitted count) are unchanged, so the index stays exact for
+  // them; only an arity change (into mixed) needs the full path.
   if (view.dims != view_.dims) return false;
-  constexpr std::size_t kPlanes = kSketchPrefix + 1;
-  const std::size_t new_count = view.count;
-  if (sketch_.empty() || new_count > sketch_stride_) {
-    // Repack the planes into an owned buffer with ~50% headroom so a
-    // steady append stream moves them only every few thousand rows. The
-    // old planes are read at the old stride before the storage swap.
-    const std::size_t stride = new_count + new_count / 2 + 64;
-    std::vector<double> grown(stride * kPlanes);
-    for (std::size_t p = 0; p < kPlanes; ++p) {
-      const double* src = sketch_ptr_ + p * sketch_stride_;
-      std::copy(src, src + first_new_row, grown.begin() + static_cast<long>(p * stride));
-    }
-    sketch_ = std::move(grown);
-    sketch_ptr_ = sketch_.data();
-    sketch_stride_ = stride;
-  }
-  // Pack the new rows exactly as build_signature_sketch would: each entry
-  // depends only on its own row, so the grown sketch is bit-identical to
-  // the one a fresh fit builds.
-  double* out = sketch_.data();
-  const std::size_t dims = view.dims;
-  for (std::size_t i = first_new_row; i < new_count; ++i) {
-    const double* row = view.row(i);
-    for (std::size_t d = 0; d < kSketchPrefix; ++d) {
-      out[d * sketch_stride_ + i] = row[d];
-    }
-    double rest = 0.0;
-    for (std::size_t d = kSketchPrefix; d < dims; ++d) {
-      rest += row[d] * row[d];
-    }
-    out[kSketchPrefix * sketch_stride_ + i] = std::sqrt(rest);
-  }
-  view_ = view;
+  adopt(view);
   return true;
 }
 
-void sketch_pruned_scan_scalar(const double* data, std::size_t dims,
-                               const double* sketch, std::size_t count,
-                               std::size_t first, std::size_t last,
-                               const double* query, double query_rest_norm,
-                               double& best_dist_sq,
-                               std::size_t& best_index) {
-  constexpr std::size_t kPrefix = LeastSquareClassifier::kSketchPrefix;
-  const double* norms = sketch + kPrefix * count;
-  for (std::size_t i = first; i < last; ++i) {
-    // Exact forward prefix of the full accumulation: monotone partial sum,
-    // so acc >= best can never be the winner (strict-< argmin).
-    double acc = 0.0;
-    for (std::size_t d = 0; d < kPrefix; ++d) {
-      const double t = sketch[d * count + i] - query[d];
-      acc += t * t;
-    }
-    if (acc >= best_dist_sq) continue;
-    // Triangle inequality on the remaining coordinates:
-    //   sum_{d>=P} (r_d - q_d)^2 >= (|r_rest| - |q_rest|)^2.
-    // The deflation absorbs the few-ulp rounding of the two sqrt'd norms so
-    // the computed bound never overshoots the true distance — skipping stays
-    // provably safe.
-    const double lb = norms[i] - query_rest_norm;
-    if (acc + lb * lb * (1.0 - 1e-9) >= best_dist_sq) continue;
-    // Candidate row: resume the exact forward accumulation from the prefix
-    // (same values, same operation order as the scalar reference).
-    const double d =
-        row_partial(data + i * dims, query, kPrefix, dims, acc);
-    if (d < best_dist_sq) {
-      best_dist_sq = d;
-      best_index = i;
-    }
+void LeastSquareClassifier::adopt(const SignatureView& view) {
+  view_ = view;
+  if (!signature_index_applicable(view)) {
+    index_ = SignatureIndexView{};
+    return;
   }
-}
-
-void LeastSquareClassifier::pruned_scan(std::size_t first, std::size_t last,
-                                        const double* query,
-                                        double query_rest_norm,
-                                        double& best_dist_sq,
-                                        std::size_t& best_index) const {
-  // The kernels take the sketch's plane stride where the original layout
-  // passed the row count; the incremental path grows the planes with
-  // headroom, so stride >= view_.count.
-  sketch_pruned_scan(view_.data, view_.dims, sketch_ptr_, sketch_stride_,
-                     first, last, query, query_rest_norm, best_dist_sq,
-                     best_index);
+  if (signature_index_stale(index_.rows, view.count)) {
+    build_signature_index(view, boxes_, ids_);
+    index_ = SignatureIndexView{boxes_.data(), ids_.data(), view.count};
+  }
 }
 
 std::size_t LeastSquareClassifier::classify(
@@ -343,53 +475,14 @@ std::size_t LeastSquareClassifier::classify(
   HARMONY_REQUIRE(view_.dims != SignatureView::kMixedDims &&
                       observed.size() == view_.dims,
                   "signature arity mismatch");
-  const std::size_t count = view_.count;
-  const std::size_t dims = view_.dims;
   const double* q = observed.data();
-  double q_rest_norm = 0.0;
-  if (sketch_ptr_ != nullptr) {
-    double rest = 0.0;
-    for (std::size_t d = kSketchPrefix; d < dims; ++d) rest += q[d] * q[d];
-    q_rest_norm = std::sqrt(rest);
-  }
-  if (count < kParallelThreshold || thread_count() <= 1) {
-    if (sketch_ptr_ == nullptr) {
-      return nearest_signature_blocked(view_.data, count, dims, q);
-    }
-    double best_d = std::numeric_limits<double>::infinity();
-    std::size_t best = 0;
-    pruned_scan(0, count, q, q_rest_norm, best_d, best);
-    return best;
-  }
-  // Sharded scan: fixed-size shards (independent of the thread count) fold
-  // into per-shard (distance, index) slots, then reduce in shard order with
-  // a strict < — the global winner is the same lowest index the serial scan
-  // finds, at any HARMONY_THREADS setting.
-  const std::size_t n_shards = (count + kShardSize - 1) / kShardSize;
-  std::vector<double> shard_d(n_shards,
-                              std::numeric_limits<double>::infinity());
-  std::vector<std::size_t> shard_i(n_shards, 0);
-  parallel_for(n_shards, [&](std::size_t s) {
-    const std::size_t lo = s * kShardSize;
-    const std::size_t hi = std::min(count, lo + kShardSize);
-    double d = std::numeric_limits<double>::infinity();
-    std::size_t idx = lo;
-    if (sketch_ptr_ == nullptr) {
-      nearest_signature_scan(view_.data, dims, lo, hi, q, d, idx);
-    } else {
-      pruned_scan(lo, hi, q, q_rest_norm, d, idx);
-    }
-    shard_d[s] = d;
-    shard_i[s] = idx;
-  });
-  std::size_t best = shard_i[0];
-  double best_d = shard_d[0];
-  for (std::size_t s = 1; s < n_shards; ++s) {
-    if (shard_d[s] < best_d) {
-      best_d = shard_d[s];
-      best = shard_i[s];
-    }
-  }
+  double best_d = std::numeric_limits<double>::infinity();
+  std::size_t best = 0;
+  search_signature_index(view_, index_, q, best_d, best);
+  // Unindexed tail: every id is above the indexed ones, so the strict-<
+  // index-order fold keeps the lowest index on ties.
+  nearest_signature_scan(view_.data, view_.dims, index_.rows, view_.count, q,
+                         best_d, best);
   return best;
 }
 

@@ -10,8 +10,8 @@
 // Figure 2 sketches.
 //
 // Scale design: classifiers are fit-once/classify-many. fit(view) builds
-// the model (k-means centroids, the k-d tree, or just a borrowed pointer
-// for the brute-force scan) over the database's flat SignatureView;
+// the model (k-means centroids, the decision tree, or the least-square
+// k-d index) over the database's flat SignatureView;
 // classify(observed) then answers queries without touching the database.
 // DataAnalyzer refits lazily whenever the database's version stamp moves,
 // so a stable database pays the model build exactly once no matter how many
@@ -81,7 +81,7 @@ inline constexpr std::size_t kDimChunk = 64;
     const double* data, std::size_t count, std::size_t dims,
     const double* query, double* best_dist_sq = nullptr);
 
-/// Range form used by the sharded scan: folds rows [first, last) into the
+/// Range form: folds rows [first, last) into the
 /// running (best_dist_sq, best_index) pair. Skipped rows never update the
 /// pair, so folding disjoint ranges in index order reproduces the full
 /// serial scan exactly. Dispatches on simd_level(): the vector kernels run
@@ -107,16 +107,35 @@ void nearest_signature_scan_level(SimdLevel level, const double* data,
                                   double& best_dist_sq,
                                   std::size_t& best_index);
 
-/// True when LeastSquareClassifier::fit would pack a prune sketch for
-/// `view` (non-empty, uniform arity wider than the sketch prefix).
-[[nodiscard]] bool signature_sketch_applicable(const SignatureView& view);
-
-/// Builds the plane-major prune sketch for `view` into `out`, which must
-/// hold view.count * (kSketchPrefix + 1) doubles: kSketchPrefix coordinate
-/// planes, then the rest-norm plane. This is the exact computation fit()
-/// performs — the snapshot writer persists its output so a store opened
-/// from disk can hand classifiers a bit-identical borrowed sketch.
-void build_signature_sketch(const SignatureView& view, double* out);
+/// The least-square k-d index (LeastSquareClassifier; the snapshot stores
+/// it verbatim). A perfectly balanced tree whose shape depends only on the
+/// row count: node k (breadth-first, root 0) at depth d and position
+/// p = k + 1 - 2^d owns leaf-order positions [p·rows >> d, (p+1)·rows >> d),
+/// its children are 2k+1 and 2k+2, and the leaves sit at the shallowest
+/// depth that holds at most kSignatureIndexLeafRows rows each.
+inline constexpr std::size_t kSignatureIndexLeafRows = 64;
+/// Node count of the index over `rows` rows.
+[[nodiscard]] std::size_t signature_index_nodes(std::size_t rows) noexcept;
+/// Views an index can cover: non-empty, uniform non-zero arity, u32 ids.
+[[nodiscard]] bool signature_index_applicable(const SignatureView& v) noexcept;
+/// Re-index rule of the classifier and the snapshot writer: rebuild once the
+/// unindexed tail exceeds an eighth of the indexed rows (amortized O(log n)).
+[[nodiscard]] constexpr bool signature_index_stale(std::size_t indexed,
+                                                   std::size_t count) noexcept {
+  return count - indexed > indexed / 8;
+}
+/// Builds the index over every row of an applicable view: `boxes` receives
+/// each node's bounding box (dims lows, then dims highs; NaN coordinates
+/// left out) in node order, `ids` the row ids in leaf order, ascending
+/// within every leaf.
+void build_signature_index(const SignatureView& view,
+                           std::vector<double>& boxes,
+                           std::vector<std::uint32_t>& ids);
+/// True when `ids` is a permutation of [0, rows), ascending within every
+/// leaf: the O(rows) check the snapshot reader runs before any search may
+/// follow a persisted id.
+[[nodiscard]] bool signature_index_well_formed(const std::uint32_t* ids,
+                                               std::size_t rows);
 
 /// Maps an observed signature to the index of the best-matching known
 /// signature. fit() builds the model over a flat SignatureView (the view's
@@ -206,104 +225,51 @@ class Classifier {
   std::vector<std::size_t> compat_offsets_;
 };
 
-/// The paper's mechanism: argmin_j sum_k (c_jk - c_ok)^2, evaluated as a
-/// blocked squared-distance kernel over the flat store. Databases at or
-/// above kParallelThreshold records shard the scan across the global thread
-/// pool; the deterministic lowest-index tie-break makes the sharded result
-/// bit-identical to the serial scan at every thread count.
+/// The paper's mechanism: argmin_j sum_k (c_jk - c_ok)^2, answered by the
+/// k-d index over the fitted rows plus a scan of rows appended since.
 ///
-/// Memory-bound scaling: fit() additionally packs a per-row *sketch* — the
-/// first kSketchPrefix coordinates verbatim plus the L2 norm of the
-/// remaining coordinates. classify() scans the compact sketch array
-/// sequentially and only touches a row's full signature when its exact
-/// prefix distance plus the triangle-inequality bound on the rest could
-/// still beat the running best. Both tests are conservative (the prefix sum
-/// is the literal forward prefix of the full accumulation; the norm bound
-/// is deflated by a rounding margin), so a skipped row provably cannot win
-/// under the strict-< argmin and results stay bit-identical to the scalar
-/// reference while the scan reads a fraction of the bytes.
+/// Exact with no epsilon: a node's box bound is the forward sum, in
+/// dimension order, of fl(gap_d^2) for the query's gap to the box along d.
+/// Rounding is monotone, so each term and partial sum is <= that of any
+/// row in the box, and a node is pruned only when its bound is strictly
+/// above the running best. Leaf rows compare on (distance, row id) and
+/// the tail scan keeps the lowest index on ties, so answers equal
+/// nearest_signature_scalar bit for bit at every thread count and SIMD
+/// level — NaN and infinite rows and queries included.
+///
+/// update() re-indexes every row itself once signature_index_stale() holds
+/// (the tail outgrew an eighth of the indexed rows); it never escalates. fit()
+/// borrows an index the view carries (a snapshot-backed store's).
 class LeastSquareClassifier final : public Classifier {
  public:
   using Classifier::classify;
-
-  /// Record count at which classify() fans out across the thread pool.
-  static constexpr std::size_t kParallelThreshold = 8192;
-  /// Rows per shard of the parallel scan (fixed, thread-count independent).
-  static constexpr std::size_t kShardSize = 8192;
-  /// Leading coordinates stored verbatim in the sketch; kSketchPrefix + 1
-  /// planes per fitted set (prefix dims, then the norm of the rest).
-  static constexpr std::size_t kSketchPrefix = 2;
 
   void fit(const SignatureView& view) override;
   std::size_t classify(const WorkloadSignature& observed) const override;
   std::string name() const override { return "least-square"; }
 
-  /// Active sketch storage (introspection for the differential tests): the
-  /// plane-major sketch pointer and its plane stride, or {nullptr, 0} when
-  /// the fitted set is not sketched.
-  [[nodiscard]] const double* sketch_data() const noexcept {
-    return sketch_ptr_;
+  /// Rows the active index covers; the rest are scanned (tests).
+  [[nodiscard]] std::size_t indexed_rows() const noexcept {
+    return index_.rows;
   }
-  [[nodiscard]] std::size_t sketch_stride() const noexcept {
-    return sketch_stride_;
+  /// True when the active index is borrowed from the fitted view.
+  [[nodiscard]] bool index_borrowed() const noexcept {
+    return index_.ids != nullptr && index_.ids != ids_.data();
   }
 
  protected:
-  /// Exact incremental path: re-point the view and pack the new rows'
-  /// sketch entries. Per-row sketch values depend only on their own row, so
-  /// the result is bit-identical to a fresh fit; never escalates except
-  /// when the sketch applicability or arity changed.
   bool update(const SignatureView& view, std::size_t first_new_row) override;
 
  private:
-  /// Folds rows [first, last) through the sketch-pruned scan into the
-  /// running (best_dist_sq, best_index) pair; same fold contract as
-  /// nearest_signature_scan. `query_rest_norm` is the L2 norm of the query
-  /// coordinates past the sketch prefix.
-  void pruned_scan(std::size_t first, std::size_t last, const double* query,
-                   double query_rest_norm, double& best_dist_sq,
-                   std::size_t& best_index) const;
+  /// Points the model at `view`, re-indexing every row when the active
+  /// index is stale (signature_index_stale).
+  void adopt(const SignatureView& view);
 
   SignatureView view_{};
-  // Plane-major sketch: kSketchPrefix + 1 contiguous planes of
-  // sketch_stride_ doubles each (plane p < kSketchPrefix holds coordinate p
-  // of every row; the last plane holds the rest-norms), built by fit() when
-  // the view has uniform arity wider than the prefix. Empty otherwise. The
-  // plane layout keeps the SIMD prefix filter on contiguous loads. When the
-  // fitted view carries a borrowed sketch (snapshot-backed store),
-  // sketch_ptr_ aims at it and sketch_ stays empty — zero copies on the
-  // warm-start path. The plane stride is >= view.count: update() grows the
-  // owned buffer with headroom so steady-state appends repack planes only
-  // every ~50% growth, and the scan kernels take the stride as a parameter
-  // (they never bound-check against it).
-  std::vector<double> sketch_;
-  const double* sketch_ptr_ = nullptr;  ///< active sketch, or nullptr
-  std::size_t sketch_stride_ = 0;       ///< plane stride of sketch_ptr_
+  SignatureIndexView index_{};  ///< owned (boxes_/ids_) or borrowed
+  std::vector<double> boxes_;
+  std::vector<std::uint32_t> ids_;
 };
-
-/// Sketch-pruned range fold over a plane-major sketch (the layout
-/// LeastSquareClassifier::fit builds: kSketchPrefix coordinate planes of
-/// `count` doubles, then the rest-norm plane). Rows whose exact prefix
-/// distance, or prefix distance plus the deflated triangle-inequality
-/// bound, already reaches the running best are skipped; candidate rows
-/// resume the exact forward accumulation from the prefix. Same fold
-/// contract as nearest_signature_scan; bit-identical at every level.
-void sketch_pruned_scan(const double* data, std::size_t dims,
-                        const double* sketch, std::size_t count,
-                        std::size_t first, std::size_t last,
-                        const double* query, double query_rest_norm,
-                        double& best_dist_sq, std::size_t& best_index);
-void sketch_pruned_scan_scalar(const double* data, std::size_t dims,
-                               const double* sketch, std::size_t count,
-                               std::size_t first, std::size_t last,
-                               const double* query, double query_rest_norm,
-                               double& best_dist_sq, std::size_t& best_index);
-void sketch_pruned_scan_level(SimdLevel level, const double* data,
-                              std::size_t dims, const double* sketch,
-                              std::size_t count, std::size_t first,
-                              std::size_t last, const double* query,
-                              double query_rest_norm, double& best_dist_sq,
-                              std::size_t& best_index);
 
 /// K-means alternative: fit() clusters the known signatures (Lloyd's
 /// algorithm, deterministic given the seed) and groups member indices per

@@ -7,10 +7,10 @@
 // per-row sum performs exactly the scalar reference's operations in the
 // scalar reference's order. The 4x4 (AVX2) and 8x8 (AVX-512) in-register
 // transposes only move data between lanes; they never touch a rounding.
-// Early-exit and prune masks are conservative in both directions: a
-// vector-computed row the scalar path would have skipped provably fails
-// the strict-< argmin update, and a vector-skipped row provably cannot
-// win, so the running (best, index) fold is identical at every level.
+// Early-exit masks are conservative in both directions: a vector-computed
+// row the scalar path would have skipped provably fails the strict-<
+// argmin update, and a vector-skipped row provably cannot win, so the
+// running (best, index) fold is identical at every level.
 //
 // Compiled with -ffp-contract=off (see core/CMakeLists.txt) so the
 // compiler cannot fuse the explicit mul+add pairs — or the scalar
@@ -284,109 +284,6 @@ __attribute__((target("avx512f"))) void scan_avx512(
   }
 }
 
-// --------------------------------------------------- sketch prune filters
-
-constexpr std::size_t kPrefix = LeastSquareClassifier::kSketchPrefix;
-static_assert(kPrefix == 2,
-              "the SIMD sketch filters hardcode a two-coordinate prefix");
-
-/// Vector prefix/bound filter over the plane-major sketch; survivors
-/// resume the exact scalar accumulation in ascending index order. The
-/// filter tests against the best at loop entry of each 4-row group —
-/// computing rows the scalar filter would skip is safe (they fail the
-/// strict-< update), and rows skipped here are >= that best and so could
-/// not have won either.
-__attribute__((target("avx2"))) void sketch_scan_avx2(
-    const double* data, std::size_t dims, const double* sketch,
-    std::size_t count, std::size_t first, std::size_t last, const double* q,
-    double q_rest_norm, double& best_dist_sq, std::size_t& best_index) {
-  const double* p0 = sketch;
-  const double* p1 = sketch + count;
-  const double* norms = sketch + kPrefix * count;
-  const __m256d q0 = _mm256_broadcast_sd(q);
-  const __m256d q1 = _mm256_broadcast_sd(q + 1);
-  const __m256d qn = _mm256_set1_pd(q_rest_norm);
-  const __m256d defl = _mm256_set1_pd(1.0 - 1e-9);
-  std::size_t i = first;
-  for (; i + 4 <= last; i += 4) {
-    __m256d t = _mm256_sub_pd(_mm256_loadu_pd(p0 + i), q0);
-    __m256d acc = _mm256_mul_pd(t, t);
-    t = _mm256_sub_pd(_mm256_loadu_pd(p1 + i), q1);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(t, t));
-    const __m256d lb = _mm256_sub_pd(_mm256_loadu_pd(norms + i), qn);
-    const __m256d bound = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_mul_pd(lb, lb), defl));
-    const __m256d bestv = _mm256_set1_pd(best_dist_sq);
-    // Candidate iff acc < best && bound < best. A NaN prefix compares
-    // false and is skipped; its full sum would be NaN too and never wins.
-    const int mask = _mm256_movemask_pd(
-        _mm256_and_pd(_mm256_cmp_pd(acc, bestv, _CMP_LT_OQ),
-                      _mm256_cmp_pd(bound, bestv, _CMP_LT_OQ)));
-    if (mask == 0) continue;
-    alignas(32) double accs[4];
-    _mm256_store_pd(accs, acc);
-    for (int lane = 0; lane < 4; ++lane) {
-      if ((mask & (1 << lane)) == 0) continue;
-      const std::size_t row = i + static_cast<std::size_t>(lane);
-      const double d =
-          signature_partial_sq(data + row * dims, q, kPrefix, dims,
-                               accs[lane]);
-      if (d < best_dist_sq) {
-        best_dist_sq = d;
-        best_index = row;
-      }
-    }
-  }
-  if (i < last) {
-    sketch_pruned_scan_scalar(data, dims, sketch, count, i, last, q,
-                              q_rest_norm, best_dist_sq, best_index);
-  }
-}
-
-__attribute__((target("avx512f"))) void sketch_scan_avx512(
-    const double* data, std::size_t dims, const double* sketch,
-    std::size_t count, std::size_t first, std::size_t last, const double* q,
-    double q_rest_norm, double& best_dist_sq, std::size_t& best_index) {
-  const double* p0 = sketch;
-  const double* p1 = sketch + count;
-  const double* norms = sketch + kPrefix * count;
-  const __m512d q0 = _mm512_set1_pd(q[0]);
-  const __m512d q1 = _mm512_set1_pd(q[1]);
-  const __m512d qn = _mm512_set1_pd(q_rest_norm);
-  const __m512d defl = _mm512_set1_pd(1.0 - 1e-9);
-  std::size_t i = first;
-  for (; i + 8 <= last; i += 8) {
-    __m512d t = _mm512_sub_pd(_mm512_loadu_pd(p0 + i), q0);
-    __m512d acc = _mm512_mul_pd(t, t);
-    t = _mm512_sub_pd(_mm512_loadu_pd(p1 + i), q1);
-    acc = _mm512_add_pd(acc, _mm512_mul_pd(t, t));
-    const __m512d lb = _mm512_sub_pd(_mm512_loadu_pd(norms + i), qn);
-    const __m512d bound = _mm512_add_pd(
-        acc, _mm512_mul_pd(_mm512_mul_pd(lb, lb), defl));
-    const __m512d bestv = _mm512_set1_pd(best_dist_sq);
-    const __mmask8 mask = _mm512_cmp_pd_mask(acc, bestv, _CMP_LT_OQ) &
-                          _mm512_cmp_pd_mask(bound, bestv, _CMP_LT_OQ);
-    if (mask == 0) continue;
-    alignas(64) double accs[8];
-    _mm512_store_pd(accs, acc);
-    for (int lane = 0; lane < 8; ++lane) {
-      if ((mask & (1 << lane)) == 0) continue;
-      const std::size_t row = i + static_cast<std::size_t>(lane);
-      const double d =
-          signature_partial_sq(data + row * dims, q, kPrefix, dims,
-                               accs[lane]);
-      if (d < best_dist_sq) {
-        best_dist_sq = d;
-        best_index = row;
-      }
-    }
-  }
-  if (i < last) {
-    sketch_pruned_scan_scalar(data, dims, sketch, count, i, last, q,
-                              q_rest_norm, best_dist_sq, best_index);
-  }
-}
-
 #pragma GCC diagnostic pop
 
 #endif  // HARMONY_X86
@@ -420,38 +317,6 @@ void nearest_signature_scan(const double* data, std::size_t dims,
                             std::size_t& best_index) {
   nearest_signature_scan_level(simd_level(), data, dims, first, last, query,
                                best_dist_sq, best_index);
-}
-
-void sketch_pruned_scan_level(SimdLevel level, const double* data,
-                              std::size_t dims, const double* sketch,
-                              std::size_t count, std::size_t first,
-                              std::size_t last, const double* query,
-                              double query_rest_norm, double& best_dist_sq,
-                              std::size_t& best_index) {
-#if HARMONY_X86
-  if (level == SimdLevel::kAvx512) {
-    return sketch_scan_avx512(data, dims, sketch, count, first, last, query,
-                              query_rest_norm, best_dist_sq, best_index);
-  }
-  if (level == SimdLevel::kAvx2) {
-    return sketch_scan_avx2(data, dims, sketch, count, first, last, query,
-                            query_rest_norm, best_dist_sq, best_index);
-  }
-#else
-  (void)level;
-#endif
-  sketch_pruned_scan_scalar(data, dims, sketch, count, first, last, query,
-                            query_rest_norm, best_dist_sq, best_index);
-}
-
-void sketch_pruned_scan(const double* data, std::size_t dims,
-                        const double* sketch, std::size_t count,
-                        std::size_t first, std::size_t last,
-                        const double* query, double query_rest_norm,
-                        double& best_dist_sq, std::size_t& best_index) {
-  sketch_pruned_scan_level(simd_level(), data, dims, sketch, count, first,
-                           last, query, query_rest_norm, best_dist_sq,
-                           best_index);
 }
 
 }  // namespace harmony

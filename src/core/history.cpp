@@ -243,12 +243,14 @@ SignatureView HistoryDatabase::signature_view() const noexcept {
     v.data = snap_->sig_data();
     v.offsets = snap_->sig_offsets();
     v.count = snap_count_;
-    v.sketch = snap_->sketch();
   } else {
     v.data = sig_data_.data();
     v.offsets = sig_offsets_.data();
     v.count = sig_offsets_.size() - 1;
   }
+  // The snapshot's rows stay a value-identical prefix after the copy-on-write
+  // detach, so its index stays valid for them while the arity is uniform.
+  if (snap_count_ > 0 && !sig_mixed_) v.index = snap_->index();
   v.dims = sig_mixed_ ? SignatureView::kMixedDims : sig_dims_;
   v.version = version_;
   v.append_base = append_base_;

@@ -46,6 +46,16 @@ using WorkloadSignature = std::vector<double>;
 /// version can never collide across database instances.
 [[nodiscard]] std::uint64_t next_signature_version() noexcept;
 
+/// Borrowed exact k-d index over rows [0, rows) of a uniform-arity
+/// signature set, in the LeastSquareClassifier layout (analyzer.hpp,
+/// build_signature_index): node boxes in breadth-first order, and the row
+/// ids in leaf order. rows == 0 means "no index".
+struct SignatureIndexView {
+  const double* boxes = nullptr;
+  const std::uint32_t* ids = nullptr;
+  std::size_t rows = 0;
+};
+
 /// Zero-copy window over a flat signature store: `count` records whose
 /// values live back to back in `data`, record i occupying
 /// [offsets[i], offsets[i+1]). The view borrows the backing storage — it is
@@ -67,13 +77,12 @@ struct SignatureView {
   /// value-identical and consume rows [N, count) as a pure delta. 0 means
   /// "no chain": ad-hoc views never qualify for incremental maintenance.
   std::uint64_t append_base = 0;
-  /// Optional precomputed plane-major sketch borrowed with the store
-  /// (LeastSquareClassifier layout: kSketchPrefix coordinate planes of
-  /// `count` doubles, then the rest-norm plane). Snapshot-backed databases
-  /// expose the sketch section persisted next to the signature index so
-  /// fit() can borrow it instead of rebuilding; nullptr means "build your
-  /// own". Same lifetime as `data`.
-  const double* sketch = nullptr;
+  /// Persisted least-square index borrowed with the store: a
+  /// snapshot-backed database exposes its snapshot's index (over the
+  /// snapshot's rows, which stay a value-identical prefix after a
+  /// copy-on-write detach) so fit() can borrow it instead of building one.
+  /// Lives as long as the database keeps the mapping.
+  SignatureIndexView index{};
 
   [[nodiscard]] bool empty() const noexcept { return count == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return count; }
@@ -120,8 +129,8 @@ class HistoryDatabase {
   void reserve(std::size_t n_records, std::size_t n_signature_values = 0);
 
   /// Replaces the contents with the records of an mmap'd snapshot, borrowed
-  /// zero-copy: signature_view() points straight into the mapping (sketch
-  /// included when the snapshot carries one) and records are decoded
+  /// zero-copy: signature_view() points straight into the mapping (persisted
+  /// index included when the snapshot carries one) and records are decoded
   /// lazily, on first access, under an internal lock — record(i) stays safe
   /// to call from concurrent readers. The first add() copies the signature
   /// index into owned storage (the mapping stays referenced for record

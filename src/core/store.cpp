@@ -19,7 +19,11 @@ namespace {
 constexpr char kLogMagic[8] = {'H', 'R', 'M', 'N', 'L', 'O', 'G', '1'};
 constexpr char kSnapMagic[8] = {'H', 'R', 'M', 'N', 'S', 'N', 'P', '1'};
 constexpr std::uint32_t kEndianSentinel = 0x01020304u;
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kLogFormatVersion = 1;
+// Snapshot format 2 persists the least-square k-d index where format 1
+// persisted the prune sketch; format-1 files still open, sketch ignored.
+constexpr std::uint32_t kSnapFormatVersion = 2;
+constexpr std::uint32_t kSnapFormatVersionSketch = 1;
 
 constexpr std::size_t kLogHeaderSize = 24;
 constexpr std::size_t kFrameHeaderSize = 8;  // u32 len + u32 crc
@@ -31,7 +35,18 @@ constexpr std::uint32_t kMaxFieldLen = 1u << 28;
 
 // Snapshot header flag bits.
 constexpr std::uint64_t kFlagMixedDims = 1u << 0;
-constexpr std::uint64_t kFlagHasSketch = 1u << 1;
+constexpr std::uint64_t kFlagHasIndex = 1u << 1;  // format 1: sketch
+
+/// Byte offset of the row ids in an index section over `rows` rows.
+std::uint64_t index_ids_offset(std::uint64_t rows, std::uint64_t dims) {
+  return 8 + signature_index_nodes(rows) * 2 * dims * 8;
+}
+
+/// Byte size of that section: u64 rows, node boxes, u32 row ids padded to
+/// 8 bytes.
+std::uint64_t index_section_bytes(std::uint64_t rows, std::uint64_t dims) {
+  return index_ids_offset(rows, dims) + (rows * 4 + 7) / 8 * 8;
+}
 
 template <typename T>
 void put(unsigned char*& out, T v) {
@@ -178,12 +193,12 @@ ExperienceRecord decode_record_payload(const unsigned char* p, std::size_t n,
 //    12  u32 format version
 //    16  u64 record_count
 //    24  u64 value_count     (total signature doubles)
-//    32  u64 flags           (bit0 mixed arity, bit1 sketch present)
+//    32  u64 flags           (bit0 mixed arity, bit1 index present)
 //    40  u64 uniform_dims
 //    48  u64 log watermark
 //    56  u64 sig_offsets_pos
 //    64  u64 sig_data_pos
-//    72  u64 sketch_pos      (0 when absent)
+//    72  u64 index_pos       (0 when absent; format 1: sketch_pos)
 //    80  u64 rec_offsets_pos
 //    88  u64 rec_blob_pos
 //    96  u64 file_bytes
@@ -192,7 +207,11 @@ ExperienceRecord decode_record_payload(const unsigned char* p, std::size_t n,
 // Sections follow in position order, each 8-byte aligned:
 //   sig_offsets  u64[record_count + 1]
 //   sig_data     f64[value_count]
-//   sketch       f64[record_count * (kSketchPrefix + 1)]   (optional)
+//   index        u64 rows (1..record_count: the index covers records
+//                [0, rows), later ones are scanned), f64[nodes * 2 * dims]
+//                node boxes, u32[rows] row ids in leaf order, zero-padded
+//                to 8 bytes (optional; layout of build_signature_index,
+//                nodes = signature_index_nodes(rows))
 //   rec_offsets  u64[record_count + 1]   (byte offsets into the blob)
 //   blob         encoded (label + measurements) payloads, back to back
 
@@ -212,7 +231,8 @@ std::shared_ptr<const SnapshotMapping> SnapshotMapping::open(
   if (get<std::uint32_t>(base + 8) != kEndianSentinel) {
     throw Error("snapshot '" + path + "': foreign byte order");
   }
-  if (get<std::uint32_t>(base + 12) != kFormatVersion) {
+  const std::uint32_t version = get<std::uint32_t>(base + 12);
+  if (version != kSnapFormatVersion && version != kSnapFormatVersionSketch) {
     throw Error("snapshot '" + path + "': unsupported format version");
   }
   const std::uint32_t want_crc = get<std::uint32_t>(base + 104);
@@ -227,7 +247,7 @@ std::shared_ptr<const SnapshotMapping> SnapshotMapping::open(
   snap->watermark_ = get<std::uint64_t>(base + 48);
   const std::uint64_t sig_offsets_pos = get<std::uint64_t>(base + 56);
   const std::uint64_t sig_data_pos = get<std::uint64_t>(base + 64);
-  const std::uint64_t sketch_pos = get<std::uint64_t>(base + 72);
+  const std::uint64_t index_pos = get<std::uint64_t>(base + 72);
   const std::uint64_t rec_offsets_pos = get<std::uint64_t>(base + 80);
   const std::uint64_t rec_blob_pos = get<std::uint64_t>(base + 88);
   const std::uint64_t file_bytes = get<std::uint64_t>(base + 96);
@@ -235,9 +255,9 @@ std::shared_ptr<const SnapshotMapping> SnapshotMapping::open(
   if (file_bytes != size) {
     throw Error("snapshot '" + path + "': size mismatch (truncated copy?)");
   }
-  const bool has_sketch = (flags & kFlagHasSketch) != 0;
-  const std::uint64_t sketch_planes =
-      has_sketch ? LeastSquareClassifier::kSketchPrefix + 1 : 0;
+  const bool has_index =
+      version == kSnapFormatVersion && (flags & kFlagHasIndex) != 0;
+  std::uint64_t index_rows = 0;
   // Section extents, checked against the mapped size and each other.
   auto section = [&](std::uint64_t pos, std::uint64_t bytes, const char* what) {
     if (pos % 8 != 0 || pos < kSnapHeaderSize || pos > size ||
@@ -247,7 +267,22 @@ std::shared_ptr<const SnapshotMapping> SnapshotMapping::open(
   };
   section(sig_offsets_pos, (count + 1) * 8, "signature offset");
   section(sig_data_pos, values * 8, "signature data");
-  if (has_sketch) section(sketch_pos, count * sketch_planes * 8, "sketch");
+  if (has_index) {
+    // The index needs uniform arity and u32-addressable rows. Tying dims
+    // to a value count the file can hold also keeps the section size
+    // computation below from overflowing.
+    if ((flags & kFlagMixedDims) != 0 || dims == 0 || count == 0 ||
+        count > std::numeric_limits<std::uint32_t>::max() ||
+        values > size / 8 || values % count != 0 || values / count != dims) {
+      throw Error("snapshot '" + path + "': index section corrupt");
+    }
+    section(index_pos, 8, "index");
+    index_rows = get<std::uint64_t>(base + index_pos);
+    if (index_rows == 0 || index_rows > count) {
+      throw Error("snapshot '" + path + "': index section corrupt");
+    }
+    section(index_pos, index_section_bytes(index_rows, dims), "index");
+  }
   section(rec_offsets_pos, (count + 1) * 8, "record offset");
   section(rec_blob_pos, 0, "record blob");
 
@@ -256,8 +291,6 @@ std::shared_ptr<const SnapshotMapping> SnapshotMapping::open(
   snap->mixed_ = (flags & kFlagMixedDims) != 0;
   snap->dims_ = static_cast<std::size_t>(dims);
   snap->sig_data_ = reinterpret_cast<const double*>(base + sig_data_pos);
-  snap->sketch_ =
-      has_sketch ? reinterpret_cast<const double*>(base + sketch_pos) : nullptr;
   snap->rec_offsets_ =
       reinterpret_cast<const std::uint64_t*>(base + rec_offsets_pos);
   snap->blob_ = base + rec_blob_pos;
@@ -279,6 +312,17 @@ std::shared_ptr<const SnapshotMapping> SnapshotMapping::open(
   if (snap->rec_offsets_[0] != 0 ||
       snap->rec_offsets_[count] > snap->blob_bytes_) {
     throw Error("snapshot '" + path + "': record offset table corrupt");
+  }
+  if (has_index) {
+    const auto rows = static_cast<std::size_t>(index_rows);
+    const auto* boxes = reinterpret_cast<const double*>(base + index_pos + 8);
+    const auto* ids = reinterpret_cast<const std::uint32_t*>(
+        base + index_pos + index_ids_offset(rows, dims));
+    // Every row id is checked before any search can follow one.
+    if (!signature_index_well_formed(ids, rows)) {
+      throw Error("snapshot '" + path + "': index section corrupt");
+    }
+    snap->index_ = SignatureIndexView{boxes, ids, rows};
   }
   return snap;
 }
@@ -317,7 +361,7 @@ void encode_log_header(unsigned char* out, std::uint64_t base) {
   std::memcpy(out, kLogMagic, sizeof(kLogMagic));
   out += sizeof(kLogMagic);
   put<std::uint32_t>(out, kEndianSentinel);
-  put<std::uint32_t>(out, kFormatVersion);
+  put<std::uint32_t>(out, kLogFormatVersion);
   put<std::uint64_t>(out, base);
 }
 
@@ -402,7 +446,7 @@ RecoveryInfo ExperienceStore::open(const std::string& prefix,
     if (get<std::uint32_t>(data + 8) != kEndianSentinel) {
       throw Error("experience log '" + log_file + "': foreign byte order");
     }
-    if (get<std::uint32_t>(data + 12) != kFormatVersion) {
+    if (get<std::uint32_t>(data + 12) != kLogFormatVersion) {
       throw Error("experience log '" + log_file + "': unsupported format version");
     }
     base = get<std::uint64_t>(data + 16);
@@ -540,31 +584,32 @@ void ExperienceStore::write_snapshot_file(const std::string& path,
                   "snapshot source database in inconsistent state");
   const std::size_t values = view.offsets[count];
 
-  // The prune sketch is persisted whenever fit() would build one, so a
-  // reopened store hands classifiers a bit-identical borrowed sketch and
-  // cold start skips the full O(values) rebuild pass.
-  const std::size_t sketch_planes = LeastSquareClassifier::kSketchPrefix + 1;
-  std::vector<double> sketch_built;
-  const double* sketch = nullptr;
-  if (signature_sketch_applicable(view)) {
-    if (view.sketch != nullptr) {
-      sketch = view.sketch;  // borrowed from the current mapping, reuse as-is
-    } else {
-      sketch_built.resize(count * sketch_planes);
-      build_signature_sketch(view, sketch_built.data());
-      sketch = sketch_built.data();
+  // The least-square index is persisted whenever one applies, so a reopened
+  // store lends it to classifiers and cold start skips the build. Rotation
+  // runs on the serving loop: it reuses the widest index valid for a prefix
+  // of the rows (the current mapping's, or one an earlier rotation built on
+  // this append chain) until signature_index_stale says to rebuild.
+  SignatureIndexView index{};
+  if (signature_index_applicable(view)) {
+    index = view.index;
+    if (view.append_base == built_chain_ && built_ids_.size() > index.rows) {
+      index = {built_boxes_.data(), built_ids_.data(), built_ids_.size()};
+    }
+    if (signature_index_stale(index.rows, count)) {
+      build_signature_index(view, built_boxes_, built_ids_);
+      built_chain_ = view.append_base;
+      index = {built_boxes_.data(), built_ids_.data(), count};
     }
   }
+  const std::uint64_t index_bytes =
+      index.rows > 0 ? index_section_bytes(index.rows, view.dims) : 0;
 
   // Section positions (all 8-aligned because every section is a multiple of
   // 8 bytes except the blob, which comes last).
   const std::uint64_t sig_offsets_pos = kSnapHeaderSize;
   const std::uint64_t sig_data_pos = sig_offsets_pos + (count + 1) * 8;
-  const std::uint64_t sketch_pos =
-      sketch != nullptr ? sig_data_pos + values * 8 : 0;
-  const std::uint64_t rec_offsets_pos =
-      (sketch != nullptr ? sketch_pos + count * sketch_planes * 8
-                         : sig_data_pos + values * 8);
+  const std::uint64_t index_pos = sig_data_pos + values * 8;
+  const std::uint64_t rec_offsets_pos = index_pos + index_bytes;
   const std::uint64_t rec_blob_pos = rec_offsets_pos + (count + 1) * 8;
 
   // Record blob offsets. Snapshot-backed records whose blobs already live in
@@ -590,19 +635,19 @@ void ExperienceStore::write_snapshot_file(const std::string& path,
     std::memcpy(out, kSnapMagic, sizeof(kSnapMagic));
     out += sizeof(kSnapMagic);
     put<std::uint32_t>(out, kEndianSentinel);
-    put<std::uint32_t>(out, kFormatVersion);
+    put<std::uint32_t>(out, kSnapFormatVersion);
     put<std::uint64_t>(out, count);
     put<std::uint64_t>(out, values);
     std::uint64_t flags = 0;
     if (view.dims == SignatureView::kMixedDims) flags |= kFlagMixedDims;
-    if (sketch != nullptr) flags |= kFlagHasSketch;
+    if (index.rows > 0) flags |= kFlagHasIndex;
     put<std::uint64_t>(out, flags);
     put<std::uint64_t>(out,
                        view.dims == SignatureView::kMixedDims ? 0 : view.dims);
     put<std::uint64_t>(out, watermark);
     put<std::uint64_t>(out, sig_offsets_pos);
     put<std::uint64_t>(out, sig_data_pos);
-    put<std::uint64_t>(out, sketch_pos);
+    put<std::uint64_t>(out, index_bytes > 0 ? index_pos : 0);
     put<std::uint64_t>(out, rec_offsets_pos);
     put<std::uint64_t>(out, rec_blob_pos);
     put<std::uint64_t>(out, file_bytes);
@@ -619,8 +664,14 @@ void ExperienceStore::write_snapshot_file(const std::string& path,
     w.write(wide.data(), (count + 1) * 8);
   }
   w.write(view.data, values * sizeof(double));
-  if (sketch != nullptr) {
-    w.write(sketch, count * sketch_planes * sizeof(double));
+  if (index.rows > 0) {
+    const std::uint64_t rows = index.rows;
+    const std::uint64_t ids_at = index_ids_offset(rows, view.dims);
+    w.write(&rows, sizeof(rows));
+    w.write(index.boxes, ids_at - 8);
+    w.write(index.ids, rows * sizeof(std::uint32_t));
+    const unsigned char zeros[8] = {};
+    w.write(zeros, index_bytes - ids_at - rows * 4);
   }
   w.write(rec_offsets.data(), (count + 1) * 8);
   // Blobs, batched through a scratch buffer so writes stay few and large.

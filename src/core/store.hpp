@@ -14,7 +14,7 @@
 //   <prefix>.snap   mmap'd snapshot whose file layout IS the flat SoA
 //                   signature index: a versioned header, the record-offset
 //                   array, the contiguous signature doubles, the
-//                   least-square prune sketch, and the (label +
+//                   least-square k-d index, and the (label +
 //                   measurements) blobs with their own offset table.
 //                   Opening a snapshot is mmap + pointer fixup — zero
 //                   copies, zero parsing: HistoryDatabase::adopt_snapshot
@@ -98,8 +98,9 @@ void encode_record(const ExperienceRecord& rec, bool include_signature,
 class SnapshotMapping {
  public:
   /// Maps and validates `path`; throws harmony::Error when the file is not
-  /// a snapshot, has a foreign byte order, fails its header CRC, or claims
-  /// sections beyond the mapped size.
+  /// a snapshot, has a foreign byte order, fails its header CRC, claims
+  /// sections beyond the mapped size, or carries an index whose row ids
+  /// are not a leaf-ordered permutation of the rows it covers (O(n)).
   [[nodiscard]] static std::shared_ptr<const SnapshotMapping> open(
       const std::string& path);
 
@@ -115,9 +116,11 @@ class SnapshotMapping {
   [[nodiscard]] const std::size_t* sig_offsets() const noexcept {
     return sig_offsets_;
   }
-  /// Persisted least-square prune sketch, or nullptr when the snapshot
-  /// carries none (empty store, mixed arity, or narrow rows).
-  [[nodiscard]] const double* sketch() const noexcept { return sketch_; }
+  /// Persisted least-square index (validated at open), or an empty view
+  /// when the snapshot carries none (empty store, mixed arity, format 1).
+  [[nodiscard]] const SignatureIndexView& index() const noexcept {
+    return index_;
+  }
 
   /// Raw encoded (label + measurements) blob of record i.
   [[nodiscard]] std::pair<const unsigned char*, std::size_t> record_blob(
@@ -136,7 +139,7 @@ class SnapshotMapping {
   std::uint64_t watermark_ = 0;
   const double* sig_data_ = nullptr;
   const std::size_t* sig_offsets_ = nullptr;
-  const double* sketch_ = nullptr;
+  SignatureIndexView index_{};
   const std::uint64_t* rec_offsets_ = nullptr;
   const unsigned char* blob_ = nullptr;
   std::uint64_t blob_bytes_ = 0;
@@ -224,6 +227,11 @@ class ExperienceStore {
   FsFaultBudget budget_;
   FsFaultBudget* budget_ptr_ = nullptr;  ///< &budget_ when fault injection is on
   bool dead_ = false;  ///< simulated crash happened; writes refused
+  /// Index the last rebuilding rotation wrote: valid for its rows while
+  /// the database stays on append chain `built_chain_` (stamps are never 0).
+  std::uint64_t built_chain_ = 0;
+  std::vector<double> built_boxes_;
+  std::vector<std::uint32_t> built_ids_;
 };
 
 }  // namespace harmony

@@ -304,6 +304,9 @@ StreamDecoder::Unit StreamDecoder::next() {
     }
   }
   if (mode_ == Mode::kText) {
+    // An empty buffer may have no storage at all: memchr(nullptr, ..., 0)
+    // is undefined behaviour even for a zero length.
+    if (buffered() == 0) return unit;
     const std::uint8_t* start = buf_.data() + pos_;
     const void* nl = std::memchr(start, '\n', buffered());
     if (nl == nullptr) {

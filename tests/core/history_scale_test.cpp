@@ -1,16 +1,20 @@
-// Coverage for the scaled experience store: flat signature index, blocked /
-// sharded least-square scan determinism, fit-once/classify-many lifecycle
+// Coverage for the scaled experience store: flat signature index, blocked
+// scan determinism, the least-square k-d index against the scalar
+// reference on every maintenance path, fit-once/classify-many lifecycle
 // (auto-refit on database version bumps), and partial-selection best().
 #include <algorithm>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/analyzer.hpp"
 #include "core/history.hpp"
+#include "core/store.hpp"
+#include "util/mmap_file.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -87,79 +91,347 @@ TEST(SignatureKernels, ExactTiesPickLowestIndex) {
             3u);
 }
 
-TEST(LeastSquareClassifier, SketchPrunedScanMatchesScalarAcrossDims) {
-  // The sketch bound (exact prefix + deflated norm of the rest) must never
-  // change the winner — including clustered data where pruning is heavy and
-  // narrow rows where the sketch is disabled entirely.
-  Rng rng(31);
-  for (const std::size_t dims : {1u, 2u, 3u, 4u, 16u, 40u}) {
-    HistoryDatabase db;
-    for (std::size_t i = 0; i < 600; ++i) {
-      ExperienceRecord rec;
-      rec.signature.resize(dims);
-      // Tight clusters around a handful of anchors: most rows prune away.
-      const double anchor = static_cast<double>(i % 5);
-      for (double& v : rec.signature) {
-        v = anchor + rng.uniform(-0.01, 0.01);
-      }
-      db.add(std::move(rec));
+// --------------------------------------------------------------------------
+// Least-square k-d index: differential battery against the scalar scan.
+//
+// Every data shape runs through four maintenance paths — fresh fit, append
+// tail (small batches that stay unindexed, then growth past the re-index
+// bound), snapshot-borrowed index (plus appends on top of it), and the
+// same appends with HARMONY_INCREMENTAL_FIT=off — at 1 and 8 threads, and
+// each answer must equal nearest_signature_scalar over the fitted rows.
+
+struct LsConfigGuard {
+  bool incremental = incremental_fit_enabled();
+  ~LsConfigGuard() {
+    set_incremental_fit(incremental);
+    set_thread_count(0);
+  }
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+struct Shape {
+  std::string name;
+  std::vector<WorkloadSignature> rows;
+  std::vector<WorkloadSignature> queries;
+};
+
+/// Queries probing every interesting corner of `rows`: random points in
+/// and around the data, exact copies of stored rows (zero-distance ties),
+/// and NaN / +-inf coordinates.
+std::vector<WorkloadSignature> probe_queries(
+    Rng& rng, const std::vector<WorkloadSignature>& rows) {
+  const std::size_t dims = rows.front().size();
+  std::vector<WorkloadSignature> qs;
+  for (int i = 0; i < 24; ++i) {
+    WorkloadSignature q(dims);
+    for (double& v : q) v = rng.uniform(-0.2, 1.2);
+    qs.push_back(std::move(q));
+  }
+  for (int i = 0; i < 12; ++i) {
+    WorkloadSignature q =
+        rows[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(rows.size()) - 1))];
+    if (i % 2 == 1) {
+      for (double& v : q) v += rng.uniform(-1e-3, 1e-3);
     }
-    LeastSquareClassifier ls;
-    ls.fit(db.signature_view());
-    const SignatureView view = db.signature_view();
-    for (int q = 0; q < 50; ++q) {
-      WorkloadSignature obs(dims);
-      const double anchor = static_cast<double>(q % 5);
-      for (double& v : obs) v = anchor + rng.uniform(-0.02, 0.02);
-      EXPECT_EQ(ls.classify(obs),
-                nearest_signature_scalar(view.data, view.count, view.dims,
-                                         obs.data()))
-          << "dims=" << dims;
+    qs.push_back(std::move(q));
+  }
+  WorkloadSignature q(dims, 0.5);
+  q[0] = kNaN;
+  qs.push_back(q);
+  q[0] = kInf;
+  qs.push_back(q);
+  q[0] = -kInf;
+  qs.push_back(q);
+  return qs;
+}
+
+std::vector<Shape> battery_shapes() {
+  Rng rng(2024);
+  std::vector<Shape> shapes;
+  // 8 and 16 are the served and scale-bench arities; 1, 3 and 40 pin the
+  // narrow and wide ends of the box bound.
+  for (const std::size_t dims : {1u, 3u, 8u, 16u, 40u}) {
+    Shape uniform{"uniform" + std::to_string(dims), {}, {}};
+    for (int i = 0; i < 3000; ++i) {
+      WorkloadSignature r(dims);
+      for (double& v : r) v = rng.uniform01();
+      uniform.rows.push_back(std::move(r));
+    }
+    shapes.push_back(std::move(uniform));
+
+    // Tight clusters; 150 copies of one row spread through the set, so
+    // the exact ties span several leaves.
+    Shape clustered{"clustered" + std::to_string(dims), {}, {}};
+    std::vector<WorkloadSignature> centres(12, WorkloadSignature(dims));
+    for (auto& c : centres) {
+      for (double& v : c) v = rng.uniform01();
+    }
+    WorkloadSignature dup;
+    for (int i = 0; i < 3000; ++i) {
+      WorkloadSignature r = centres[static_cast<std::size_t>(i % 12)];
+      for (double& v : r) v += 0.005 * rng.normal();
+      if (i == 7) dup = r;
+      if (i > 7 && i % 20 == 7) r = dup;
+      clustered.rows.push_back(std::move(r));
+    }
+    shapes.push_back(std::move(clustered));
+  }
+
+  // Every row identical: no split separates anything.
+  shapes.push_back({"identical", std::vector<WorkloadSignature>(
+                                     700, WorkloadSignature(8, 0.25)),
+                    {}});
+
+  // Non-finite rows sprinkled through uniform data.
+  Shape nonfinite{"nonfinite", {}, {}};
+  for (int i = 0; i < 2000; ++i) {
+    WorkloadSignature r(8);
+    for (double& v : r) v = rng.uniform01();
+    if (i % 37 == 3) r[static_cast<std::size_t>(i % 8)] = kNaN;
+    if (i % 41 == 5) r[static_cast<std::size_t>(i % 8)] = kInf;
+    if (i % 43 == 6) r[static_cast<std::size_t>(i % 8)] = -kInf;
+    if (i % 97 == 0) std::fill(r.begin(), r.end(), kNaN);
+    nonfinite.rows.push_back(std::move(r));
+  }
+  shapes.push_back(std::move(nonfinite));
+
+  // Nothing but NaN and infinite rows: no finite distance anywhere.
+  Shape hopeless{"hopeless", {}, {}};
+  for (int i = 0; i < 300; ++i) {
+    const double v = i % 3 == 0 ? kNaN : (i % 3 == 1 ? kInf : -kInf);
+    hopeless.rows.emplace_back(8, v);
+  }
+  shapes.push_back(std::move(hopeless));
+
+  shapes.push_back({"single", {WorkloadSignature(8, 0.5)}, {}});
+
+  // Rows on a line, ids in descending coordinate order; a query midway
+  // between neighbours ties them exactly. Across a leaf boundary the
+  // lower-index winner sits in the far child, whose bound then equals the
+  // best distance: pruning on >= instead of > would return the other row.
+  Shape mirrored{"mirrored", {}, {}};
+  for (int i = 0; i < 1000; ++i) {
+    WorkloadSignature r(8, 0.5);
+    r[0] = (999 - i) * 0.125;
+    mirrored.rows.push_back(std::move(r));
+  }
+  shapes.push_back(std::move(mirrored));
+
+  for (Shape& s : shapes) s.queries = probe_queries(rng, s.rows);
+  for (int i = 0; i < 999; ++i) {
+    WorkloadSignature q(8, 0.5);
+    q[0] = i * 0.125 + 0.0625;
+    shapes.back().queries.push_back(std::move(q));
+  }
+  return shapes;
+}
+
+void add_rows(HistoryDatabase& db, const std::vector<WorkloadSignature>& rows,
+              std::size_t first, std::size_t last) {
+  for (std::size_t i = first; i < last; ++i) {
+    ExperienceRecord rec;
+    rec.signature = rows[i];
+    db.add(std::move(rec));
+  }
+}
+
+void expect_scalar_answers(const LeastSquareClassifier& ls,
+                           const SignatureView& view, const Shape& shape,
+                           const std::string& where) {
+  for (std::size_t q = 0; q < shape.queries.size(); ++q) {
+    const WorkloadSignature& obs = shape.queries[q];
+    ASSERT_EQ(ls.classify(obs), nearest_signature_scalar(
+                                    view.data, view.count, view.dims,
+                                    obs.data()))
+        << shape.name << " " << where << " query " << q << " rows "
+        << view.count << " indexed " << ls.indexed_rows();
+  }
+}
+
+/// Grows `db` from `first` rows to all of the shape's rows in batches:
+/// small ones that stay in the unindexed tail, then one past the re-index
+/// bound. Checks every intermediate model.
+void grow_and_check(LeastSquareClassifier& ls, HistoryDatabase& db,
+                    const Shape& shape, std::size_t first,
+                    const std::string& where) {
+  const std::size_t n = shape.rows.size();
+  std::size_t at = first;
+  for (const std::size_t batch : {std::size_t{1}, n / 64, n / 32, n}) {
+    const std::size_t to = std::min(n, at + std::max<std::size_t>(batch, 1));
+    if (to == at) break;
+    add_rows(db, shape.rows, at, to);
+    at = to;
+    ls.refit(db.signature_view());
+    expect_scalar_answers(ls, db.signature_view(), shape,
+                          where + " +" + std::to_string(at));
+  }
+}
+
+TEST(LeastSquareIndex, FreshFitMatchesScalar) {
+  LsConfigGuard guard;
+  for (const unsigned threads : {1u, 8u}) {
+    set_thread_count(threads);
+    for (const Shape& shape : battery_shapes()) {
+      HistoryDatabase db;
+      add_rows(db, shape.rows, 0, shape.rows.size());
+      LeastSquareClassifier ls;
+      ls.fit(db.signature_view());
+      EXPECT_EQ(ls.indexed_rows(), shape.rows.size());
+      expect_scalar_answers(ls, db.signature_view(), shape,
+                            "fresh t" + std::to_string(threads));
     }
   }
 }
 
-TEST(LeastSquareClassifier, ShardedScanBitIdenticalAtAnyThreadCount) {
-  // Enough records to cross kParallelThreshold and span several shards.
-  const std::size_t dims = 6;
-  const std::size_t count = 3 * LeastSquareClassifier::kShardSize + 37;
-  Rng rng(7);
+TEST(LeastSquareIndex, AppendTailMatchesScalarWithAndWithoutDelta) {
+  LsConfigGuard guard;
+  for (const bool incremental : {true, false}) {
+    set_incremental_fit(incremental);
+    for (const unsigned threads : {1u, 8u}) {
+      set_thread_count(threads);
+      for (const Shape& shape : battery_shapes()) {
+        const std::size_t first = (shape.rows.size() + 1) / 2;
+        HistoryDatabase db;
+        add_rows(db, shape.rows, 0, first);
+        LeastSquareClassifier ls;
+        ls.refit(db.signature_view());
+        const std::string where = std::string(incremental ? "delta" : "full") +
+                                  " t" + std::to_string(threads);
+        grow_and_check(ls, db, shape, first, where);
+        if (incremental && shape.rows.size() > 1) {
+          // Appends never escalate: one full fit, the rest deltas.
+          EXPECT_EQ(ls.refit_stats().full, 1u) << shape.name;
+        }
+        if (!incremental) {
+          EXPECT_EQ(ls.refit_stats().incremental, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(LeastSquareIndex, TailStaysWithinAnEighthOfTheIndex) {
+  LsConfigGuard guard;
+  set_incremental_fit(true);
+  Rng rng(5);
   HistoryDatabase db;
-  for (std::size_t i = 0; i < count; ++i) {
-    ExperienceRecord rec;
-    rec.signature.resize(dims);
-    for (double& v : rec.signature) v = rng.uniform01();
-    db.add(std::move(rec));
+  LeastSquareClassifier ls;
+  for (int batch = 0; batch < 60; ++batch) {
+    for (int i = 0; i < 37; ++i) {
+      ExperienceRecord rec;
+      rec.signature = {rng.uniform01(), rng.uniform01(), rng.uniform01()};
+      db.add(std::move(rec));
+    }
+    ls.refit(db.signature_view());
+    const std::size_t n = db.size();
+    EXPECT_LE(n - ls.indexed_rows(), ls.indexed_rows() / 8) << n;
   }
-  // Exact tie spanning shard 0 and shard 2: the copy at the lower index
-  // must win regardless of which shard scans first.
-  {
-    ExperienceRecord dup;
-    dup.signature = db.record(100).signature;
-    db.add(std::move(dup));  // index count (last), ties with index 100
-  }
-  const WorkloadSignature tie_query = db.record(100).signature;
+  EXPECT_EQ(ls.refit_stats().full, 1u);
+}
 
-  std::vector<WorkloadSignature> queries;
-  for (int q = 0; q < 16; ++q) {
-    WorkloadSignature obs(dims);
-    for (double& v : obs) v = rng.uniform01();
-    queries.push_back(std::move(obs));
-  }
-
-  const SignatureView view = db.signature_view();
+TEST(LeastSquareIndex, SnapshotBorrowedIndexMatchesScalar) {
+  LsConfigGuard guard;
+  int tag = 0;
   for (const unsigned threads : {1u, 8u}) {
     set_thread_count(threads);
-    LeastSquareClassifier ls;
-    ls.fit(view);
-    for (const auto& obs : queries) {
-      EXPECT_EQ(ls.classify(obs),
-                nearest_signature_scalar(view.data, view.count, view.dims,
-                                         obs.data()));
+    for (const Shape& shape : battery_shapes()) {
+      const std::string prefix = ::testing::TempDir() + "/harmony_lsidx_" +
+                                 std::to_string(tag++);
+      remove_file(ExperienceStore::log_path(prefix));
+      remove_file(ExperienceStore::snapshot_path(prefix));
+      const std::size_t first = (shape.rows.size() + 1) / 2;
+      {
+        HistoryDatabase db;
+        ExperienceStore store;
+        (void)store.open(prefix, db);
+        add_rows(db, shape.rows, 0, first);
+        store.snapshot(db);
+      }
+      HistoryDatabase db;
+      ExperienceStore store;
+      (void)store.open(prefix, db);
+      LeastSquareClassifier ls;
+      ls.refit(db.signature_view());
+      EXPECT_TRUE(ls.index_borrowed()) << shape.name;
+      EXPECT_EQ(ls.indexed_rows(), first);
+      const std::string where = "snapshot t" + std::to_string(threads);
+      expect_scalar_answers(ls, db.signature_view(), shape, where);
+      // The first append detaches the rows copy-on-write; the snapshot's
+      // index stays borrowed for its prefix while the tail is small.
+      grow_and_check(ls, db, shape, first, where);
+      store.close();
+      remove_file(ExperienceStore::log_path(prefix));
+      remove_file(ExperienceStore::snapshot_path(prefix));
     }
-    EXPECT_EQ(ls.classify(tie_query), 100u);
   }
-  set_thread_count(0);  // restore environment/hardware default
+}
+
+TEST(LeastSquareIndex, MixedArityIsRejectedOnEveryPath) {
+  LsConfigGuard guard;
+  set_incremental_fit(true);
+  HistoryDatabase db;
+  for (int i = 0; i < 200; ++i) {
+    ExperienceRecord rec;
+    rec.signature = {0.01 * i, 1.0, 2.0};
+    db.add(std::move(rec));
+  }
+  LeastSquareClassifier ls;
+  ls.refit(db.signature_view());
+  EXPECT_EQ(ls.classify({0.5, 1.0, 2.0}), 50u);
+  // An append of another arity turns the set mixed: refit falls back to the
+  // full path, and every classify is refused rather than misread.
+  ExperienceRecord odd;
+  odd.signature = {1.0, 2.0};
+  db.add(std::move(odd));
+  ls.refit(db.signature_view());
+  EXPECT_EQ(ls.refit_stats().full, 2u);
+  EXPECT_EQ(ls.indexed_rows(), 0u);
+  EXPECT_THROW((void)ls.classify({0.5, 1.0, 2.0}), Error);
+  EXPECT_THROW((void)ls.classify({0.5, 1.0}), Error);
+  // A query of the wrong arity against a uniform set is refused too.
+  LeastSquareClassifier uniform;
+  HistoryDatabase one;
+  ExperienceRecord rec;
+  rec.signature = {1.0, 2.0, 3.0};
+  one.add(std::move(rec));
+  uniform.fit(one.signature_view());
+  EXPECT_EQ(uniform.classify({9.0, 9.0, 9.0}), 0u);
+  EXPECT_THROW((void)uniform.classify({1.0, 2.0}), Error);
+}
+
+TEST(LeastSquareIndex, PersistedLayoutIsWellFormed) {
+  Rng rng(9);
+  for (const std::size_t rows : {1u, 64u, 65u, 129u, 1000u, 4097u}) {
+    std::vector<double> data(rows * 4);
+    for (double& v : data) v = rng.uniform01();
+    std::vector<std::size_t> offsets(rows + 1);
+    for (std::size_t i = 0; i <= rows; ++i) offsets[i] = i * 4;
+    SignatureView view;
+    view.data = data.data();
+    view.offsets = offsets.data();
+    view.count = rows;
+    view.dims = 4;
+    std::vector<double> boxes;
+    std::vector<std::uint32_t> ids;
+    build_signature_index(view, boxes, ids);
+    EXPECT_EQ(boxes.size(), signature_index_nodes(rows) * 8);
+    ASSERT_TRUE(signature_index_well_formed(ids.data(), rows)) << rows;
+    // Leaves hold at most kSignatureIndexLeafRows ids.
+    const std::size_t leaves = (signature_index_nodes(rows) + 1) / 2;
+    EXPECT_LE((rows + leaves - 1) / leaves, kSignatureIndexLeafRows);
+    if (rows > 1) {
+      std::swap(ids[0], ids[rows - 1]);  // breaks leaf order or a leaf sort
+      std::vector<std::uint32_t> dup = ids;
+      dup[1] = dup[0];
+      EXPECT_FALSE(signature_index_well_formed(dup.data(), rows));
+    }
+    std::vector<std::uint32_t> wild(rows, 0);
+    wild[0] = static_cast<std::uint32_t>(rows);
+    EXPECT_FALSE(signature_index_well_formed(wild.data(), rows));
+  }
 }
 
 TEST(HistoryDatabase, FlatViewMirrorsRecords) {

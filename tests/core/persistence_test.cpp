@@ -9,7 +9,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "core/server.hpp"
 #include "core/store.hpp"
 #include "synth/landscapes.hpp"
+#include "util/crc32.hpp"
 #include "util/mmap_file.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -194,12 +197,13 @@ TEST(ExperienceStore, SnapshotAdoptsZeroCopyAndMatchesOriginal) {
   EXPECT_EQ(info.replayed_records, 0u);
   ASSERT_EQ(db.size(), 40u);
   // Borrowed mode: the signature view points into the mapping, with the
-  // persisted prune sketch riding along.
+  // persisted least-square index riding along.
   ASSERT_NE(db.snapshot_backing(), nullptr);
   const SignatureView view = db.signature_view();
   EXPECT_EQ(view.count, 40u);
   EXPECT_EQ(view.dims, 6u);
-  EXPECT_NE(view.sketch, nullptr);
+  EXPECT_EQ(view.index.rows, 40u);
+  EXPECT_NE(view.index.ids, nullptr);
   const auto* mapping_data = db.snapshot_backing()->sig_data();
   EXPECT_EQ(view.data, mapping_data) << "view must borrow the mapping";
   for (std::size_t i = 0; i < 40; ++i) {
@@ -405,6 +409,318 @@ TEST(ExperienceStore, CorruptSnapshotHeaderIsRefused) {
   EXPECT_THROW(store.open(prefix, db), Error);
 }
 
+std::vector<unsigned char> read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<unsigned char>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+T peek(const std::vector<unsigned char>& b, std::size_t at) {
+  T v;
+  std::memcpy(&v, b.data() + at, sizeof v);
+  return v;
+}
+
+template <typename T>
+void poke(std::vector<unsigned char>& b, std::size_t at, T v) {
+  std::memcpy(b.data() + at, &v, sizeof v);
+}
+
+/// Re-seals an edited snapshot header, so the edit reaches the section
+/// checks instead of the header CRC.
+void reseal_header(std::vector<unsigned char>& b) {
+  poke<std::uint32_t>(b, 104, crc32(b.data(), 104));
+}
+
+/// A format-1 snapshot (the prune-sketch layout) written byte by byte:
+/// header, signature offsets, signature doubles, a sketch section of
+/// kSketchPlanes planes, record offsets, record blobs.
+std::vector<unsigned char> version1_snapshot(
+    const std::vector<ExperienceRecord>& recs, std::size_t dims) {
+  constexpr std::uint64_t kSketchPlanes = 3;
+  const std::uint64_t count = recs.size();
+  const std::uint64_t values = count * dims;
+  std::vector<unsigned char> blob;
+  std::vector<std::uint64_t> rec_offsets{0};
+  for (const ExperienceRecord& r : recs) {
+    const std::size_t at = blob.size();
+    blob.resize(at + encoded_record_size(r, false));
+    encode_record(r, false, blob.data() + at);
+    rec_offsets.push_back(blob.size());
+  }
+  const std::uint64_t sig_offsets_pos = 112;
+  const std::uint64_t sig_data_pos = sig_offsets_pos + (count + 1) * 8;
+  const std::uint64_t sketch_pos = sig_data_pos + values * 8;
+  const std::uint64_t rec_offsets_pos = sketch_pos + count * kSketchPlanes * 8;
+  const std::uint64_t blob_pos = rec_offsets_pos + (count + 1) * 8;
+  std::vector<unsigned char> b(blob_pos + blob.size());
+  std::memcpy(b.data(), "HRMNSNP1", 8);
+  poke<std::uint32_t>(b, 8, 0x01020304u);
+  poke<std::uint32_t>(b, 12, 1);  // format 1
+  poke<std::uint64_t>(b, 16, count);
+  poke<std::uint64_t>(b, 24, values);
+  poke<std::uint64_t>(b, 32, 1u << 1);  // sketch present
+  poke<std::uint64_t>(b, 40, dims);
+  poke<std::uint64_t>(b, 48, 0);  // watermark
+  poke<std::uint64_t>(b, 56, sig_offsets_pos);
+  poke<std::uint64_t>(b, 64, sig_data_pos);
+  poke<std::uint64_t>(b, 72, sketch_pos);
+  poke<std::uint64_t>(b, 80, rec_offsets_pos);
+  poke<std::uint64_t>(b, 88, blob_pos);
+  poke<std::uint64_t>(b, 96, b.size());
+  reseal_header(b);
+  for (std::uint64_t i = 0; i <= count; ++i) {
+    poke<std::uint64_t>(b, sig_offsets_pos + i * 8, i * dims);
+    poke<std::uint64_t>(b, rec_offsets_pos + i * 8, rec_offsets[i]);
+  }
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::memcpy(b.data() + sig_data_pos + i * dims * 8,
+                recs[i].signature.data(), dims * 8);
+  }
+  // Sketch planes: garbage on purpose — a reader must never consult them.
+  for (std::uint64_t i = 0; i < count * kSketchPlanes; ++i) {
+    poke<double>(b, sketch_pos + i * 8, -1.0e300);
+  }
+  std::memcpy(b.data() + blob_pos, blob.data(), blob.size());
+  return b;
+}
+
+TEST(ExperienceStore, Version1SnapshotOpensAndRotatesToTheIndexFormat) {
+  const std::string prefix = temp_prefix("v1");
+  const std::size_t n = 700, dims = 5;
+  Rng rng(61);
+  std::vector<ExperienceRecord> recs;
+  HistoryDatabase original;
+  for (std::size_t i = 0; i < n; ++i) {
+    recs.push_back(make_record(rng, dims, i));
+    original.add(recs.back());
+  }
+  write_bytes(ExperienceStore::snapshot_path(prefix),
+              version1_snapshot(recs, dims));
+
+  ExperienceStore store;
+  HistoryDatabase db;
+  const RecoveryInfo info = store.open(prefix, db);
+  ASSERT_TRUE(info.had_snapshot);
+  ASSERT_EQ(db.size(), n);
+  for (std::size_t i = 0; i < n; i += 97) {
+    expect_records_equal(recs[i], db.record(i),
+                         "v1 record " + std::to_string(i));
+  }
+  EXPECT_EQ(db.signature_view().index.rows, 0u);  // sketch ignored
+  std::vector<WorkloadSignature> queries;
+  for (int q = 0; q < 40; ++q) {
+    WorkloadSignature sig(dims);
+    for (double& v : sig) v = rng.uniform01();
+    queries.push_back(std::move(sig));
+  }
+  queries.push_back(recs[123].signature);
+  LeastSquareClassifier mapped_ls, mem_ls;
+  mapped_ls.fit(db.signature_view());
+  mem_ls.fit(original.signature_view());
+  for (const WorkloadSignature& q : queries) {
+    EXPECT_EQ(mapped_ls.classify(q), mem_ls.classify(q));
+  }
+
+  // The next rotation writes format 2 with the index in place.
+  const ExperienceRecord extra = make_record(rng, dims, n);
+  store.append(extra);
+  db.add(extra);
+  original.add(extra);
+  store.snapshot(db);
+  store.close();
+  const std::vector<unsigned char> rotated =
+      read_bytes(ExperienceStore::snapshot_path(prefix));
+  EXPECT_EQ(peek<std::uint32_t>(rotated, 12), 2u);
+  HistoryDatabase reopened;
+  ExperienceStore store2;
+  store2.open(prefix, reopened);
+  ASSERT_EQ(reopened.size(), n + 1);
+  EXPECT_EQ(reopened.signature_view().index.rows, n + 1);
+  LeastSquareClassifier reopened_ls;
+  reopened_ls.fit(reopened.signature_view());
+  EXPECT_TRUE(reopened_ls.index_borrowed());
+  mem_ls.fit(original.signature_view());
+  for (const WorkloadSignature& q : queries) {
+    EXPECT_EQ(reopened_ls.classify(q), mem_ls.classify(q));
+  }
+}
+
+TEST(ExperienceStore, RotationRebuildsTheIndexOnlyWhenStale) {
+  const std::string prefix = temp_prefix("idxprefix");
+  const std::size_t dims = 6;
+  Rng rng(71);
+  HistoryDatabase original;
+  // Opens the store, appends `k` records and rotates after each batch;
+  // returns the row count the final snapshot's index covers.
+  auto append_and_rotate = [&](std::vector<std::size_t> batches) {
+    {
+      ExperienceStore store;
+      HistoryDatabase db;
+      store.open(prefix, db);
+      for (const std::size_t k : batches) {
+        for (std::size_t i = 0; i < k; ++i) {
+          const ExperienceRecord rec = make_record(rng, dims, original.size());
+          store.append(rec);
+          db.add(rec);
+          original.add(rec);
+        }
+        store.snapshot(db);
+      }
+    }
+    ExperienceStore store;
+    HistoryDatabase db;
+    store.open(prefix, db);
+    EXPECT_EQ(db.size(), original.size());
+    return db.signature_view().index.rows;
+  };
+  // A store opened empty builds at its first rotation, then reuses that
+  // index while the tail stays within an eighth (600 / 8 = 75 rows).
+  EXPECT_EQ(append_and_rotate({600, 50}), 600u);
+  // After a reopen the borrowed prefix is copied while it is fresh...
+  EXPECT_EQ(append_and_rotate({20}), 600u);
+  // ...and rebuilt over every row once the tail passes an eighth.
+  EXPECT_EQ(append_and_rotate({30}), 700u);
+  EXPECT_EQ(append_and_rotate({87, 1}), 788u);
+
+  ExperienceStore store;
+  HistoryDatabase db;
+  store.open(prefix, db);
+  ASSERT_EQ(db.size(), 788u);
+  LeastSquareClassifier mapped_ls;
+  mapped_ls.fit(db.signature_view());
+  EXPECT_TRUE(mapped_ls.index_borrowed());
+  EXPECT_EQ(mapped_ls.indexed_rows(), 788u);
+  const SignatureView view = original.signature_view();
+  for (int q = 0; q < 64; ++q) {
+    WorkloadSignature sig(dims);
+    for (double& v : sig) v = rng.uniform01();
+    if (q % 8 == 0) sig = original.record(600 + q).signature;
+    EXPECT_EQ(mapped_ls.classify(sig),
+              nearest_signature_scalar(view.data, view.count, dims,
+                                       sig.data()));
+  }
+}
+
+TEST(ExperienceStore, MixedArityAppendDropsTheSnapshotIndex) {
+  const std::string prefix = temp_prefix("idxmixed");
+  const std::size_t n = 300, dims = 4;
+  Rng rng(73);
+  std::vector<ExperienceRecord> recs;
+  {
+    ExperienceStore store;
+    HistoryDatabase db;
+    store.open(prefix, db);
+    for (std::size_t i = 0; i < n; ++i) {
+      recs.push_back(make_record(rng, dims, i));
+      store.append(recs.back());
+      db.add(recs.back());
+    }
+    store.snapshot(db);
+  }
+  {
+    ExperienceStore store;
+    HistoryDatabase db;
+    store.open(prefix, db);
+    ASSERT_EQ(db.signature_view().index.rows, n);
+    recs.push_back(make_record(rng, dims + 2, n));
+    store.append(recs.back());
+    db.add(recs.back());
+    const SignatureView view = db.signature_view();
+    EXPECT_EQ(view.dims, SignatureView::kMixedDims);
+    EXPECT_EQ(view.index.rows, 0u);
+    store.snapshot(db);
+  }
+  const std::vector<unsigned char> bytes =
+      read_bytes(ExperienceStore::snapshot_path(prefix));
+  EXPECT_EQ(peek<std::uint64_t>(bytes, 32), 1u) << "mixed flag, no index";
+  ExperienceStore store;
+  HistoryDatabase db;
+  store.open(prefix, db);
+  ASSERT_EQ(db.size(), n + 1);
+  EXPECT_EQ(db.signature_view().dims, SignatureView::kMixedDims);
+  for (std::size_t i = 0; i <= n; i += 50) {
+    expect_records_equal(recs[i], db.record(i),
+                         "mixed record " + std::to_string(i));
+  }
+  expect_records_equal(recs[n], db.record(n), "mixed tail record");
+}
+
+TEST(ExperienceStore, CorruptIndexSectionIsRefused) {
+  const std::string prefix = temp_prefix("badindex");
+  const std::size_t n = 500, dims = 4;
+  Rng rng(67);
+  {
+    ExperienceStore store;
+    HistoryDatabase db;
+    store.open(prefix, db);
+    for (std::size_t i = 0; i < n; ++i) {
+      const ExperienceRecord rec = make_record(rng, dims, i);
+      store.append(rec);
+      db.add(rec);
+    }
+    store.snapshot(db);
+  }
+  const std::string path = ExperienceStore::snapshot_path(prefix);
+  const std::vector<unsigned char> good = read_bytes(path);
+  ASSERT_EQ(peek<std::uint64_t>(good, 32) & 2u, 2u) << "index flag";
+  const std::uint64_t index_pos = peek<std::uint64_t>(good, 72);
+  ASSERT_EQ(peek<std::uint64_t>(good, index_pos), n) << "indexed rows";
+  const std::uint64_t ids_pos =
+      index_pos + 8 + signature_index_nodes(n) * 2 * dims * 8;
+  const std::uint32_t first_id = peek<std::uint32_t>(good, ids_pos);
+
+  auto refused = [&](const std::vector<unsigned char>& bytes) {
+    write_bytes(path, bytes);
+    ExperienceStore store;
+    HistoryDatabase db;
+    bool threw = false;
+    try {
+      store.open(prefix, db);
+    } catch (const Error&) {
+      threw = true;
+    }
+    return threw;
+  };
+
+  std::vector<unsigned char> bad = good;
+  poke<std::uint32_t>(bad, ids_pos, static_cast<std::uint32_t>(n));
+  EXPECT_TRUE(refused(bad)) << "row id past the record count";
+  bad = good;
+  poke<std::uint32_t>(bad, ids_pos + 4, first_id);
+  EXPECT_TRUE(refused(bad)) << "row id listed twice";
+  bad = good;
+  poke<std::uint32_t>(bad, ids_pos, peek<std::uint32_t>(good, ids_pos + 4));
+  poke<std::uint32_t>(bad, ids_pos + 4, first_id);
+  EXPECT_TRUE(refused(bad)) << "leaf ids out of order";
+  bad = good;
+  poke<std::uint64_t>(bad, index_pos, n + 1);
+  EXPECT_TRUE(refused(bad)) << "index covers more rows than the file holds";
+  bad = good;
+  poke<std::uint64_t>(bad, index_pos, 0);
+  EXPECT_TRUE(refused(bad)) << "empty index";
+  bad = good;
+  poke<std::uint64_t>(bad, 72, good.size() - 8);
+  reseal_header(bad);
+  EXPECT_TRUE(refused(bad)) << "index section runs past the file";
+  bad = good;
+  poke<std::uint64_t>(bad, 72, index_pos + 4);
+  reseal_header(bad);
+  EXPECT_TRUE(refused(bad)) << "misaligned index section";
+  bad = good;
+  poke<std::uint64_t>(bad, 40, dims + 1);
+  reseal_header(bad);
+  EXPECT_TRUE(refused(bad)) << "arity disagrees with the value count";
+  EXPECT_FALSE(refused(good));
+}
+
 TEST(HistoryDatabase, ReservePreservesContentsAndAcceptsTotals) {
   Rng rng(41);
   HistoryDatabase db;
@@ -435,7 +751,8 @@ TEST(HistoryDatabase, ReservePreservesContentsAndAcceptsTotals) {
 // The tentpole bit-identity requirement: classify over the mmap'd store
 // must equal classify over the in-memory original at every thread count and
 // SIMD level (binary doubles round-trip exactly; the scan order contract
-// does the rest). 9k records crosses the parallel-scan threshold.
+// does the rest). The mapped side borrows the persisted index, the
+// in-memory side builds its own.
 TEST(ExperienceStore, MmapClassifyBitIdenticalAcrossThreadsAndSimd) {
   const std::string prefix = temp_prefix("bitident");
   const std::size_t n = 9000, dims = 8;

@@ -1,6 +1,6 @@
 // Differential battery for the SIMD-dispatched hot kernels.
 //
-// Every kernel family (distance scan, sketch-pruned scan, k-means fit and
+// Every kernel family (distance scan, least-square classify, k-means fit and
 // classify, QR / least-squares) must return bit-identical results at every
 // available SimdLevel — values, argmin indices, lowest-index tie breaks —
 // at HARMONY_THREADS=1 and 8 alike, including on censored / fault-injected
@@ -98,8 +98,8 @@ TEST(SimdKernels, DistanceScanBitIdenticalAcrossLevels) {
 
 TEST(SimdKernels, DistanceScanFoldContractHoldsMidRange) {
   // Folding disjoint ranges in index order must equal the full scan at
-  // every level — the property the sharded classify and the streamed 100M
-  // bench both lean on.
+  // every level — the property the least-square tail scan and the
+  // streamed 100M bench both lean on.
   Rng rng(7);
   const std::size_t dims = 16, count = 600;
   std::vector<double> data = random_rows(rng, count, dims);
@@ -125,54 +125,10 @@ TEST(SimdKernels, DistanceScanFoldContractHoldsMidRange) {
   }
 }
 
-TEST(SimdKernels, SketchPrunedScanBitIdenticalAcrossLevels) {
-  Rng rng(99);
-  constexpr std::size_t kPrefix = LeastSquareClassifier::kSketchPrefix;
-  for (const std::size_t dims : {4u, 16u, 33u}) {
-    for (const std::size_t count : {1u, 9u, 64u, 257u, 1000u}) {
-      std::vector<double> data = random_rows(rng, count, dims);
-      inject_faults(data, count, dims);
-      // Plane-major sketch, exactly as LeastSquareClassifier::fit packs it.
-      std::vector<double> sketch(count * (kPrefix + 1));
-      for (std::size_t i = 0; i < count; ++i) {
-        const double* row = data.data() + i * dims;
-        for (std::size_t d = 0; d < kPrefix; ++d) {
-          sketch[d * count + i] = row[d];
-        }
-        double rest = 0.0;
-        for (std::size_t d = kPrefix; d < dims; ++d) rest += row[d] * row[d];
-        sketch[kPrefix * count + i] = std::sqrt(rest);
-      }
-      std::vector<double> query(dims);
-      for (double& v : query) v = rng.uniform01();
-      double qrest = 0.0;
-      for (std::size_t d = kPrefix; d < dims; ++d) {
-        qrest += query[d] * query[d];
-      }
-      qrest = std::sqrt(qrest);
-
-      double ref_d = std::numeric_limits<double>::infinity();
-      std::size_t ref_i = 0;
-      sketch_pruned_scan_scalar(data.data(), dims, sketch.data(), count, 0,
-                                count, query.data(), qrest, ref_d, ref_i);
-      for (const SimdLevel level : available_levels()) {
-        double d = std::numeric_limits<double>::infinity();
-        std::size_t i = 0;
-        sketch_pruned_scan_level(level, data.data(), dims, sketch.data(),
-                                 count, 0, count, query.data(), qrest, d, i);
-        ASSERT_EQ(i, ref_i) << simd_level_name(level) << " dims=" << dims
-                            << " count=" << count;
-        ASSERT_EQ(d, ref_d) << simd_level_name(level);
-      }
-    }
-  }
-}
-
-/// Builds a clustered experience database large enough to cross the
-/// parallel-scan threshold, so classify() exercises the sharded fold.
-HistoryDatabase build_database(std::size_t records, std::size_t dims) {
-  Rng rng(31);
-  HistoryDatabase db;
+/// Appends `records` rows of a clustered experience database to `db`.
+void grow_database(HistoryDatabase& db, std::size_t records,
+                   std::size_t dims) {
+  Rng rng(31 + db.size());
   for (std::size_t i = 0; i < records; ++i) {
     ExperienceRecord rec;
     rec.signature.resize(dims);
@@ -180,13 +136,24 @@ HistoryDatabase build_database(std::size_t records, std::size_t dims) {
     for (double& v : rec.signature) v = base + 0.01 * rng.uniform01();
     db.add(std::move(rec));
   }
+}
+
+HistoryDatabase build_database(std::size_t records, std::size_t dims) {
+  HistoryDatabase db;
+  grow_database(db, records, dims);
   return db;
 }
 
 TEST(SimdKernels, ClassifierBitIdenticalAcrossLevelsAndThreadCounts) {
   DispatchGuard guard;
   const std::size_t dims = 16;
-  const HistoryDatabase db = build_database(10'000, dims);
+  // 9'000 indexed rows plus a 1'000-row append: with the delta refit on,
+  // the appended tail is answered by the dispatched scan kernel.
+  HistoryDatabase db = build_database(9'000, dims);
+  LeastSquareClassifier ls;
+  ls.refit(db.signature_view());
+  grow_database(db, 1'000, dims);
+  const SignatureView view = db.signature_view();
   Rng qrng(5);
   std::vector<WorkloadSignature> queries;
   for (int q = 0; q < 32; ++q) {
@@ -200,10 +167,13 @@ TEST(SimdKernels, ClassifierBitIdenticalAcrossLevelsAndThreadCounts) {
     set_simd_level(level);
     for (const unsigned threads : {1u, 8u}) {
       set_thread_count(threads);
-      LeastSquareClassifier ls;
-      ls.fit(db.signature_view());
+      ls.refit(view);
       std::vector<std::size_t> got;
-      for (const auto& obs : queries) got.push_back(ls.classify(obs));
+      for (const auto& obs : queries) {
+        got.push_back(ls.classify(obs));
+        EXPECT_EQ(got.back(), nearest_signature_scalar(view.data, view.count,
+                                                       dims, obs.data()));
+      }
       if (reference.empty()) {
         reference = got;
       } else {

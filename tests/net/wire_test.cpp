@@ -196,6 +196,19 @@ TEST(WireCodec, TextModeSplitsLinesAndStripsCr) {
   EXPECT_EQ(u.line, "REPORT 1.5");
 }
 
+TEST(WireCodec, EmptyTextDecoderPollsCleanly) {
+  // A text decoder polled before any byte arrived has no buffer storage;
+  // next() must report kNone without scanning it, then decode normally.
+  StreamDecoder d(StreamDecoder::Mode::kText);
+  EXPECT_EQ(d.next().kind, StreamDecoder::Unit::Kind::kNone);
+  const std::string line = "FETCH\n";
+  d.append(reinterpret_cast<const std::uint8_t*>(line.data()), line.size());
+  const StreamDecoder::Unit u = d.next();
+  ASSERT_EQ(u.kind, StreamDecoder::Unit::Kind::kLine);
+  EXPECT_EQ(u.line, "FETCH");
+  EXPECT_EQ(d.next().kind, StreamDecoder::Unit::Kind::kNone);
+}
+
 TEST(WireCodec, UnterminatedTextLineCapped) {
   StreamDecoder d(StreamDecoder::Mode::kText);
   const std::vector<std::uint8_t> junk(kMaxFrameBytes + 1, 'x');
