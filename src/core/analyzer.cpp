@@ -169,30 +169,6 @@ void Classifier::refit(const SignatureView& view) {
   ++stats_.full;
 }
 
-std::size_t Classifier::classify(const WorkloadSignature& observed,
-                                 const std::vector<WorkloadSignature>& known) {
-  HARMONY_REQUIRE(!known.empty(), "classify against empty signature set");
-  compat_data_.clear();
-  compat_offsets_.clear();
-  compat_offsets_.reserve(known.size() + 1);
-  compat_offsets_.push_back(0);
-  const std::size_t dims = known.front().size();
-  bool mixed = false;
-  for (const auto& s : known) {
-    if (s.size() != dims) mixed = true;
-    compat_data_.insert(compat_data_.end(), s.begin(), s.end());
-    compat_offsets_.push_back(compat_data_.size());
-  }
-  SignatureView view;
-  view.data = compat_data_.data();
-  view.offsets = compat_offsets_.data();
-  view.count = known.size();
-  view.dims = mixed ? SignatureView::kMixedDims : dims;
-  view.version = next_signature_version();
-  fit(view);
-  return classify(observed);
-}
-
 // --------------------------------------------------------------------------
 // Least-square (exact k-d index over the flat store)
 

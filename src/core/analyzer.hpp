@@ -141,9 +141,7 @@ void build_signature_index(const SignatureView& view,
 /// signature. fit() builds the model over a flat SignatureView (the view's
 /// backing storage must stay alive and unchanged until the next fit);
 /// classify() answers queries against the fitted model and throws when the
-/// fitted set is empty. The legacy two-argument classify() remains as a
-/// compatibility shim that copies `known` into an owned flat store, fits,
-/// and classifies — the old per-call-rebuild cost model.
+/// fitted set is empty.
 class Classifier {
  public:
   /// How refit() has been resolving staleness: full rebuilds vs delta
@@ -185,11 +183,6 @@ class Classifier {
   }
   void reset_refit_stats() noexcept { stats_ = RefitStats{}; }
 
-  /// Compatibility shim: fit over `known` (owned copy), then classify.
-  [[nodiscard]] std::size_t classify(
-      const WorkloadSignature& observed,
-      const std::vector<WorkloadSignature>& known);
-
  protected:
   /// Absorbs rows [first_new_row, view.count) into the fitted model,
   /// returning true on success. Called only by refit(), and only when the
@@ -220,9 +213,6 @@ class Classifier {
   std::uint64_t fitted_chain_ = 0;
   std::size_t fitted_count_ = 0;
   RefitStats stats_;
-  // Owned flat store backing the compatibility shim's view.
-  std::vector<double> compat_data_;
-  std::vector<std::size_t> compat_offsets_;
 };
 
 /// The paper's mechanism: argmin_j sum_k (c_jk - c_ok)^2, answered by the
@@ -242,8 +232,6 @@ class Classifier {
 /// borrows an index the view carries (a snapshot-backed store's).
 class LeastSquareClassifier final : public Classifier {
  public:
-  using Classifier::classify;
-
   void fit(const SignatureView& view) override;
   std::size_t classify(const WorkloadSignature& observed) const override;
   std::string name() const override { return "least-square"; }
@@ -278,8 +266,6 @@ class LeastSquareClassifier final : public Classifier {
 /// O(k·dims + cluster) lookups instead of a full rebuild per query.
 class KMeansClassifier final : public Classifier {
  public:
-  using Classifier::classify;
-
   explicit KMeansClassifier(std::size_t k, std::uint64_t seed = 42,
                             int max_iterations = 50);
   void fit(const SignatureView& view) override;
@@ -323,8 +309,6 @@ class KMeansClassifier final : public Classifier {
 /// metric. fit() builds the tree once; classify() is a logarithmic descent.
 class DecisionTreeClassifier final : public Classifier {
  public:
-  using Classifier::classify;
-
   explicit DecisionTreeClassifier(std::size_t leaf_size = 4);
   void fit(const SignatureView& view) override;
   std::size_t classify(const WorkloadSignature& observed) const override;

@@ -249,11 +249,6 @@ class RecordingObjective final : public Objective {
     return trace_;
   }
   void clear() noexcept { trace_.clear(); }
-  /// Pre-sizes the trace (callers that know their evaluation budget avoid
-  /// regrowth during the measurement loop).
-  void reserve(std::size_t expected_measurements) {
-    trace_.reserve(expected_measurements);
-  }
 
  private:
   Objective& inner_;

@@ -12,11 +12,6 @@ std::vector<double> ParallelEvaluator::evaluate(
 }
 
 void ParallelEvaluator::evaluate_into(std::span<const Configuration> configs,
-                                      std::span<double> out) {
-  evaluate_into(configs, out, nullptr);
-}
-
-void ParallelEvaluator::evaluate_into(std::span<const Configuration> configs,
                                       std::span<double> out,
                                       std::vector<std::uint8_t>* censored) {
   if (!policy_.enabled()) {

@@ -37,17 +37,13 @@ class ParallelEvaluator {
       std::span<const Configuration> configs);
 
   /// Allocation-free form of evaluate(): writes configs[i]'s value into
-  /// out[i] (sizes must match). The speculative simplex driver calls this
-  /// every kernel step with reused buffers.
-  void evaluate_into(std::span<const Configuration> configs,
-                     std::span<double> out);
-
-  /// evaluate_into plus per-index censoring flags: (*censored)[i] is 1 when
+  /// out[i] (sizes must match). The tuning loop calls this every kernel
+  /// step with reused buffers. When non-null, (*censored)[i] is 1 when
   /// configs[i] exhausted its retries and out[i] is the censored penalty
-  /// (always all-zero under a default policy). `censored` may be null.
+  /// (always all-zero under a default policy).
   void evaluate_into(std::span<const Configuration> configs,
                      std::span<double> out,
-                     std::vector<std::uint8_t>* censored);
+                     std::vector<std::uint8_t>* censored = nullptr);
 
   /// Evaluates each config `repeats` times — flattened config-major,
   /// repeat-minor, exactly the order a serial repeat loop issues — and

@@ -1,8 +1,5 @@
 #include "core/protocol.hpp"
 
-#include <cmath>
-#include <limits>
-
 #include "core/rsl.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -15,6 +12,17 @@ namespace {
 /// whitespace).
 bool rest_of_line_verb(const std::string& verb) {
   return verb == "HELLO" || verb == "BUNDLES" || verb == "ERROR";
+}
+
+/// Replaces every control character (CR/LF/tab included) — and, unless
+/// `keep_spaces`, every space — with `fill`, so the text serializes as a
+/// rest-of-line payload (keep_spaces) or as a single argument token.
+std::string fold_unsafe(std::string text, char fill, bool keep_spaces) {
+  for (char& c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    if (u < 0x20 || u == 0x7f || (c == ' ' && !keep_spaces)) c = fill;
+  }
+  return text;
 }
 
 }  // namespace
@@ -95,11 +103,7 @@ Message ok() { return {"OK", {}}; }
 Message error(const std::string& what) {
   // Exception text can carry anything; fold control characters to spaces so
   // the reply always survives serialize()'s CR/LF rejection.
-  std::string clean = what;
-  for (char& c : clean) {
-    if (c == '\r' || c == '\n' || c == '\t') c = ' ';
-  }
-  return {"ERROR", {std::move(clean)}};
+  return {"ERROR", {fold_unsafe(what, ' ', /*keep_spaces=*/true)}};
 }
 
 ServerSession::ServerSession(SessionOptions options, HistoryDatabase* database)
@@ -155,10 +159,11 @@ Message ServerSession::handle_hello(const Message& m) {
   return ok();
 }
 
-SearchSpec ServerSession::session_search_spec() const {
+void ServerSession::start_kernel(WarmStart plan) {
   SearchSpec spec = opts_.tuning.search;
   if (!requested_strategy_.empty()) spec.kernel = requested_strategy_;
-  return spec;
+  kernel_ = make_session_kernel(opts_.tuning, spec, space_, std::move(plan));
+  kernel_name_ = kernel_->name();
 }
 
 Message ServerSession::handle_bundles(const Message& m) {
@@ -166,10 +171,8 @@ Message ServerSession::handle_bundles(const Message& m) {
   ParameterSpace space = parse_rsl(m.args[0]);
   if (space.empty()) return error("no bundles declared");
   space_ = std::move(space);
-  kernel_ = make_search_kernel(
-      session_search_spec(), space_, opts_.tuning.simplex,
-      opts_.tuning.strategy->vertices(space_, space_.defaults()));
-  kernel_name_ = kernel_->name();
+  start_kernel(
+      {opts_.tuning.strategy->vertices(space_, space_.defaults()), {}, {}});
   state_ = State::kTuning;
   Message reply = ok();
   reply.args.push_back(std::to_string(space_.size()));
@@ -201,33 +204,15 @@ Message ServerSession::handle_signature(const Message& m) {
         opts_.shared_analyzer != nullptr ? *opts_.shared_analyzer : analyzer_;
     if (const ExperienceRecord* exp = analyzer.retrieve(*db_, signature_)) {
       // Warm start: rebuild the kernel seeded from the experience.
-      const auto best = exp->best(space_.size() + 1);
-      std::vector<Configuration> seeds;
-      seeds.reserve(best.size());
-      for (const auto& b : best) seeds.push_back(b.config);
-      SeededStrategy seeded(seeds);
-      auto vertices = seeded.vertices(space_, space_.defaults());
-      std::vector<double> values(
-          vertices.size(), std::numeric_limits<double>::quiet_NaN());
-      if (opts_.use_recorded_values) {
-        for (std::size_t i = 0; i < best.size() && i < vertices.size(); ++i) {
-          if (vertices[i] == space_.snap(best[i].config)) {
-            values[i] = best[i].performance;
-          }
-        }
-      }
-      // Non-censored history feeds kernels that can model-seed from it.
-      std::vector<std::pair<Configuration, double>> history;
-      history.reserve(exp->measurements.size());
-      for (const Measurement& pm : exp->measurements) {
-        if (!pm.censored) history.emplace_back(pm.config, pm.performance);
-      }
-      kernel_ = make_search_kernel(session_search_spec(), space_,
-                                   opts_.tuning.simplex, std::move(vertices),
-                                   std::move(values), history);
-      kernel_name_ = kernel_->name();
+      start_kernel(plan_warm_start(space_, space_.defaults(),
+                                   exp->measurements,
+                                   opts_.use_recorded_values,
+                                   /*estimate_missing=*/false));
       reply.args.push_back("experience");
-      reply.args.push_back(exp->label);
+      // The label is a client name, which may hold spaces; a reply
+      // argument must be one token.
+      reply.args.push_back(
+          fold_unsafe(exp->label, '_', /*keep_spaces=*/false));
     }
   }
   return reply;

@@ -20,7 +20,9 @@
 //   C: BUNDLES <rsl-text on one line>
 //   S: OK <n-parameters>
 //   C: SIGNATURE <k> <v1> ... <vk>        (optional: workload characteristics)
-//   S: OK [experience <label>]            (warm start found / not)
+//   S: OK [experience <label>]            (warm start found / not; the
+//                                          label's whitespace and control
+//                                          characters fold to '_')
 //   C: FETCH
 //   S: CONFIG <n> <v1> ... <vn>           (measure this configuration)
 //      | DONE <n> <v1> ... <vn> <perf> [<evals> <stop-reason>
@@ -192,10 +194,10 @@ class ServerSession {
   Message handle_bye();
   void store_experience();
 
-  /// Kernel spec the session's searches run with: the server default from
-  /// SessionOptions::tuning.search, with the kernel name overridden when the
-  /// client's HELLO asked for one.
-  [[nodiscard]] SearchSpec session_search_spec() const;
+  /// (Re)builds the session's search kernel from `plan`: the server default
+  /// from SessionOptions::tuning.search, with the kernel name overridden
+  /// when the client's HELLO asked for one.
+  void start_kernel(WarmStart plan);
 
   SessionOptions opts_;
   HistoryDatabase* db_;

@@ -1,12 +1,11 @@
 // SearchStrategy — the pluggable step-kernel contract every tuning driver
 // speaks.
 //
-// PRs 4–9 grew four independent drivers around one kernel: the serial loop,
-// the speculative frontier driver, the fault-tolerant retry path, and the
-// serving front end's per-session state machine. They all consume the same
-// inverted-control surface — pull a configuration, measure it, push the
-// value back — so that surface is now a contract and the Nelder–Mead
-// simplex is merely its first implementation.
+// Two drivers consume it: TuningSession's one measurement loop (serial or
+// speculative, with or without retries) and the serving front end's
+// per-session state machine. Both speak the same inverted-control surface —
+// pull a configuration, measure it, push the value back — and the
+// Nelder–Mead simplex is merely its first implementation.
 //
 // The contract (pinned by tests/core/search_strategy_test.cpp against every
 // registered strategy):

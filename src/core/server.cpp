@@ -23,6 +23,28 @@ void ingest_experience(HistoryDatabase& db, ExperienceStore* store,
   }
 }
 
+std::size_t execute_batch(
+    const DataAnalyzer& analyzer, HistoryDatabase& db, ExperienceStore* store,
+    std::size_t n, const std::function<void(std::size_t)>& run,
+    const std::function<std::optional<ExperienceRecord>(std::size_t)>& take) {
+  // Fit to the entry-state database once, serially: the version stamps then
+  // match for every retrieval inside run(), so the lazy-refit branch never
+  // fires and concurrent sessions share no mutable state.
+  analyzer.ensure_fitted(db);
+  parallel_for(n, run);
+  // All writes happen here, after the barrier, in index order: one database
+  // version bump and one store group commit per batch.
+  std::vector<ExperienceRecord> records;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::optional<ExperienceRecord> rec = take(i)) {
+      records.push_back(std::move(*rec));
+    }
+  }
+  const std::size_t ingested = records.size();
+  ingest_experience(db, store, std::move(records));
+  return ingested;
+}
+
 HarmonyServer::HarmonyServer(const ParameterSpace& space, ServerOptions options)
     : space_(space), opts_(std::move(options)) {
   HARMONY_REQUIRE(!space_.empty(), "empty parameter space");
@@ -57,25 +79,19 @@ std::vector<ServedTuningResult> HarmonyServer::serve_batch(
     HARMONY_REQUIRE(rq.objective != nullptr, "serve_batch: null objective");
   }
 
-  // Fit the classifier to the entry-state database once, serially. The
-  // parallel retrievals below then only read the fitted model (the version
-  // stamps match, so the lazy-refit branch never fires) and the database's
-  // stable record storage — no synchronization needed, and every request
-  // sees the same experience set a serial loop over this batch would.
-  analyzer_.ensure_fitted(db_);
-
-  parallel_for(requests.size(), [&](std::size_t i) {
+  // Every request retrieves against the database as it stood at entry and
+  // runs in isolation; a request failure is contained in its own run: the
+  // pool rethrows escaped exceptions after the drain, which would poison
+  // the whole batch, so the failing run is marked and its siblings finish
+  // untouched (they share no mutable state with it).
+  const auto run = [&](std::size_t i) {
     const ServeRequest& rq = requests[i];
     ServedTuningResult& res = out[i];
-    // A request failure is contained here: the pool rethrows escaped
-    // exceptions after the drain, which would poison the whole batch, so
-    // the failing run is marked and its siblings finish untouched (they
-    // share no mutable state with it).
     try {
       TuningSession session(space_, *rq.objective, opts_.tuning);
       if (const ExperienceRecord* exp =
               analyzer_.retrieve(db_, rq.signature)) {
-        session.seed(exp->best(space_.size() + 1), opts_.use_recorded_values);
+        session.seed(exp->measurements, opts_.use_recorded_values);
         res.experience_label = exp->label;
         res.experience_distance =
             signature_distance(rq.signature, exp->signature);
@@ -89,26 +105,15 @@ std::vector<ServedTuningResult> HarmonyServer::serve_batch(
       res.failed = true;
       res.failure = e.what();
     }
-  });
-
-  // Experience writes are batched at run completion, in request order: the
-  // database (and its version stamp) moves only after the whole batch is
-  // done, which is what makes the concurrent read path above safe. Failed
-  // runs are skipped — censored penalties and partial traces must not
-  // become training data for future warm starts.
-  if (opts_.record_experience) {
-    std::vector<ExperienceRecord> records;
-    records.reserve(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (out[i].failed) continue;
-      ExperienceRecord rec;
-      rec.label = requests[i].label;
-      rec.signature = requests[i].signature;
-      rec.measurements = out[i].tuning.trace;
-      records.push_back(std::move(rec));
-    }
-    ingest_experience(db_, store(), std::move(records));
-  }
+  };
+  // Failed runs write nothing back: censored penalties and partial traces
+  // must not become training data for future warm starts.
+  const auto take = [&](std::size_t i) -> std::optional<ExperienceRecord> {
+    if (!opts_.record_experience || out[i].failed) return std::nullopt;
+    return ExperienceRecord{requests[i].label, requests[i].signature,
+                            out[i].tuning.trace};
+  };
+  (void)execute_batch(analyzer_, db_, store(), requests.size(), run, take);
   return out;
 }
 

@@ -7,6 +7,7 @@
 // workloads), and the finished run is stored back as new experience.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -30,6 +31,17 @@ namespace harmony {
 /// between batches, never while sessions execute.
 void ingest_experience(HistoryDatabase& db, ExperienceStore* store,
                        std::vector<ExperienceRecord> records);
+
+/// The one batch executor behind serve_batch and the serving front end's
+/// coalesced dispatch: fits `analyzer` to `db` once, runs run(0) ..
+/// run(n-1) across the thread pool — retrievals inside are then pure reads
+/// of the fitted model and of stable record storage — and, after the
+/// barrier, collects take(i) in index order into one ingest_experience()
+/// call. Returns the number of records ingested.
+std::size_t execute_batch(
+    const DataAnalyzer& analyzer, HistoryDatabase& db, ExperienceStore* store,
+    std::size_t n, const std::function<void(std::size_t)>& run,
+    const std::function<std::optional<ExperienceRecord>(std::size_t)>& take);
 
 struct ServerOptions {
   TuningOptions tuning;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 
 #include "core/estimator.hpp"
@@ -12,21 +13,73 @@
 
 namespace harmony {
 
-namespace {
+WarmStart plan_warm_start(const ParameterSpace& space,
+                          const Configuration& start,
+                          const std::vector<Measurement>& history,
+                          bool use_recorded_values, bool estimate_missing) {
+  WarmStart plan;
+  if (history.empty()) return plan;
+  // The best-performing distinct configurations, best first (earlier
+  // entries first on ties).
+  std::vector<std::size_t> order(history.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return history[a].performance > history[b].performance;
+                   });
+  std::vector<Configuration> seeds;
+  std::vector<double> seed_values;
+  const std::size_t want = space.size() + 1;
+  for (const std::size_t i : order) {
+    Configuration c = space.snap(history[i].config);
+    if (std::find(seeds.begin(), seeds.end(), c) != seeds.end()) continue;
+    seeds.push_back(std::move(c));
+    seed_values.push_back(history[i].performance);
+    if (seeds.size() == want) break;
+  }
 
-/// Simplex options the kernel actually runs with: a retry-enabled session
-/// marks the policy's censored penalty as the censoring threshold unless
-/// the caller pinned one explicitly.
-SimplexOptions effective_simplex_options(const TuningOptions& opts) {
+  plan.vertices = SeededStrategy(seeds).vertices(space, start);
+  // SeededStrategy may append filler vertices; those are measured live.
+  plan.values.assign(plan.vertices.size(),
+                     std::numeric_limits<double>::quiet_NaN());
+  if (use_recorded_values) {
+    for (std::size_t i = 0; i < seeds.size() && i < plan.values.size(); ++i) {
+      if (plan.vertices[i] == seeds[i]) plan.values[i] = seed_values[i];
+    }
+  }
+  if (estimate_missing && history.size() >= 2) {
+    // Fill the still-unvalued vertices by triangulation over the history
+    // (§4.3) instead of spending live measurements on them.
+    PerformanceEstimator estimator(space);
+    estimator.add_all(history);
+    for (std::size_t i = 0; i < plan.values.size(); ++i) {
+      if (std::isnan(plan.values[i])) {
+        plan.values[i] = estimator.estimate(plan.vertices[i]).value;
+      }
+    }
+  }
+  // Censored entries are penalties, not observations: they stay out of the
+  // model-seeding history.
+  plan.history.reserve(history.size());
+  for (const Measurement& m : history) {
+    if (!m.censored) plan.history.emplace_back(m.config, m.performance);
+  }
+  return plan;
+}
+
+std::unique_ptr<SearchStrategy> make_session_kernel(
+    const TuningOptions& opts, const SearchSpec& spec,
+    const ParameterSpace& space, WarmStart plan) {
+  // The effective options: a retry-enabled session marks the policy's
+  // censored penalty as the censoring threshold unless one was pinned.
   SimplexOptions so = opts.simplex;
   if (opts.retry.enabled() &&
       so.censored_threshold == -std::numeric_limits<double>::infinity()) {
     so.censored_threshold = opts.retry.censored_value;
   }
-  return so;
+  return make_search_kernel(spec, space, so, std::move(plan.vertices),
+                            std::move(plan.values), plan.history);
 }
-
-}  // namespace
 
 TuningSession::TuningSession(const ParameterSpace& space, Objective& objective,
                              TuningOptions options)
@@ -43,146 +96,28 @@ void TuningSession::set_start(Configuration start) {
 void TuningSession::seed(const std::vector<Measurement>& history,
                          bool use_recorded_values, bool estimate_missing) {
   seed_history_ = history;
-  estimate_missing_ = estimate_missing && history.size() >= 2;
-  // Keep the best-performing distinct configurations, best first.
-  std::vector<Measurement> sorted = history;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Measurement& a, const Measurement& b) {
-                     return a.performance > b.performance;
-                   });
-  seed_configs_.clear();
-  seed_values_.clear();
-  const std::size_t want = space_.size() + 1;
-  for (const Measurement& m : sorted) {
-    Configuration c = space_.snap(m.config);
-    if (std::find(seed_configs_.begin(), seed_configs_.end(), c) !=
-        seed_configs_.end()) {
-      continue;
-    }
-    seed_configs_.push_back(std::move(c));
-    seed_values_.push_back(use_recorded_values
-                               ? m.performance
-                               : std::numeric_limits<double>::quiet_NaN());
-    if (seed_configs_.size() == want) break;
-  }
+  use_recorded_values_ = use_recorded_values;
+  estimate_missing_ = estimate_missing;
 }
 
 TuningResult TuningSession::run() {
-  RecordingObjective recorder(objective_);
-  // The kernel issues at most max_evaluations live measurements; size the
-  // recording (and later the result trace) once from that budget.
-  recorder.reserve(static_cast<std::size_t>(opts_.simplex.max_evaluations));
-
-  std::vector<Configuration> vertices;
-  std::vector<double> seeded_values;
-  if (!seed_configs_.empty()) {
-    SeededStrategy seeded(seed_configs_);
-    vertices = seeded.vertices(space_, start_);
-    // SeededStrategy may append filler vertices; those are measured live.
-    seeded_values.assign(vertices.size(),
-                         std::numeric_limits<double>::quiet_NaN());
-    for (std::size_t i = 0;
-         i < seed_configs_.size() && i < seeded_values.size(); ++i) {
-      if (vertices[i] == seed_configs_[i]) {
-        seeded_values[i] = seed_values_[i];
-      }
-    }
-    if (estimate_missing_) {
-      // Fill filler-vertex values by triangulation over the history (§4.3)
-      // instead of spending live measurements on them.
-      PerformanceEstimator estimator(space_);
-      estimator.add_all(seed_history_);
-      for (std::size_t i = 0; i < seeded_values.size(); ++i) {
-        if (std::isnan(seeded_values[i])) {
-          seeded_values[i] = estimator.estimate(vertices[i]).value;
-        }
-      }
-    }
-  } else {
-    vertices = opts_.strategy->vertices(space_, start_);
-  }
-
-  if (opts_.speculative) {
-    return run_speculative(std::move(vertices), std::move(seeded_values));
-  }
-  if (opts_.retry.enabled()) {
-    return run_fault_tolerant(std::move(vertices), std::move(seeded_values));
-  }
-
-  // The serial loop: pull a configuration, measure, push the value back.
-  // For the simplex kernel this is exactly SimplexSearch::maximize and the
-  // trajectory is bit-identical to the pre-interface session.
+  WarmStart plan =
+      seed_history_.empty()
+          ? WarmStart{opts_.strategy->vertices(space_, start_), {}, {}}
+          : plan_warm_start(space_, start_, seed_history_,
+                            use_recorded_values_, estimate_missing_);
   std::unique_ptr<SearchStrategy> kernel =
-      make_kernel(std::move(vertices), std::move(seeded_values));
-  while (const Configuration* c = kernel->peek()) {
-    kernel->report(recorder.measure(*c));
-  }
-  const SearchResult& sr = kernel->result();
-
-  TuningResult out;
-  out.trace.reserve(recorder.trace().size());
-  for (const auto& s : recorder.trace()) {
-    out.trace.push_back({s.config, s.value, /*estimated=*/false});
-  }
-  out.best_config = sr.best;
-  out.best_performance = sr.best_value;
-  out.evaluations = sr.evaluations;
-  out.converged = sr.converged;
-  out.stop_reason = sr.stop_reason;
-  return out;
-}
-
-std::unique_ptr<SearchStrategy> TuningSession::make_kernel(
-    std::vector<Configuration> vertices, std::vector<double> seeded_values) {
-  // Prior-run history for kernels that model-seed their starting points;
-  // censored entries are penalties, not observations, so they stay out.
-  std::vector<std::pair<Configuration, double>> history;
-  history.reserve(seed_history_.size());
-  for (const Measurement& m : seed_history_) {
-    if (!m.censored) history.emplace_back(m.config, m.performance);
-  }
-  return make_search_kernel(opts_.search, space_,
-                            effective_simplex_options(opts_),
-                            std::move(vertices), std::move(seeded_values),
-                            history);
-}
-
-TuningResult TuningSession::run_fault_tolerant(
-    std::vector<Configuration> vertices, std::vector<double> seeded_values) {
-  // The serial kernel loop, driven through the fallible path: each step
-  // retries per the policy, and an exhausted step enters the kernel as the
-  // censored penalty instead of aborting the run.
-  std::unique_ptr<SearchStrategy> machine =
-      make_kernel(std::move(vertices), std::move(seeded_values));
-  TuningResult out;
-  out.trace.reserve(static_cast<std::size_t>(opts_.simplex.max_evaluations));
-  while (const Configuration* c = machine->peek()) {
-    const MeasurementOutcome o =
-        measure_with_retry(objective_, *c, opts_.retry, out.retry);
-    const bool censored = !o.ok();
-    const double v = censored ? opts_.retry.censored_value : o.value;
-    out.trace.push_back({*c, v, /*estimated=*/false, censored});
-    machine->report(v);
-  }
-  const SearchResult& sr = machine->result();
-  out.best_config = sr.best;
-  out.best_performance = sr.best_value;
-  out.evaluations = sr.evaluations;
-  out.converged = sr.converged;
-  out.stop_reason = sr.stop_reason;
-  return out;
-}
-
-TuningResult TuningSession::run_speculative(
-    std::vector<Configuration> vertices, std::vector<double> seeded_values) {
-  std::unique_ptr<SearchStrategy> machine =
-      make_kernel(std::move(vertices), std::move(seeded_values));
+      make_session_kernel(opts_, opts_.search, space_, std::move(plan));
+  // A disabled retry policy measures through the infallible batch path,
+  // one attempt each; an enabled one retries and censors exhausted values.
   ParallelEvaluator evaluator(objective_, opts_.retry);
 
-  // Speculation cache: every live measurement lands here keyed by its
-  // snapped configuration; the kernel's requests are served from it. An
-  // entry is "consumed" once the trajectory submits its value — entries
-  // that never are were wasted speculation.
+  // Every live measurement lands in this cache keyed by its snapped
+  // configuration, and the kernel's requests are served from it. A serial
+  // session measures only the pending configuration and drops the entry
+  // once consumed, so a repeated request is measured live again. A
+  // speculative one measures the frontier on each miss and keeps every
+  // entry: one the trajectory never consumes was wasted speculation.
   struct CacheEntry {
     double value = 0.0;
     bool consumed = false;
@@ -190,36 +125,35 @@ TuningResult TuningSession::run_speculative(
   };
   std::unordered_map<Configuration, CacheEntry, ConfigurationHash> cache;
   const auto budget = static_cast<std::size_t>(opts_.simplex.max_evaluations);
-  cache.reserve(4 * budget);
+  if (opts_.speculative) cache.reserve(4 * budget);
 
   TuningResult out;
   out.trace.reserve(budget);
-  SpeculationStats& stats = out.speculation;
+  SpeculationStats stats;
 
   std::vector<Configuration> to_measure;
   std::vector<double> values;
   std::vector<std::uint8_t> censored_flags;
   std::vector<std::uint8_t>* const censored =
       opts_.retry.enabled() ? &censored_flags : nullptr;
-  while (const Configuration* c = machine->peek()) {
+  while (const Configuration* c = kernel->peek()) {
     auto it = cache.find(*c);
     if (it == cache.end()) {
-      // Miss: measure the whole frontier in one batch. The pending
-      // configuration comes first, so it is always covered even after the
-      // waste bound truncates the tail.
-      std::vector<Configuration> frontier = machine->frontier();
       to_measure.clear();
-      to_measure.reserve(frontier.size());
-      for (Configuration& f : frontier) {
-        if (cache.find(f) == cache.end()) to_measure.push_back(std::move(f));
+      if (opts_.speculative) {
+        // The pending configuration leads the frontier, so it is always
+        // covered even after the budget bound truncates the tail: the
+        // kernel asks for at most budget - evaluations more values, and
+        // measuring beyond that could only ever be waste.
+        for (Configuration& f : kernel->frontier()) {
+          if (cache.find(f) == cache.end()) to_measure.push_back(std::move(f));
+        }
+        const auto evals = static_cast<std::size_t>(kernel->evaluations());
+        const std::size_t remaining = budget > evals ? budget - evals : 1;
+        if (to_measure.size() > remaining) to_measure.resize(remaining);
+      } else {
+        to_measure.push_back(*c);
       }
-      // The kernel asks for at most budget - evals_ more values; measuring
-      // beyond that bound could only ever be waste.
-      const std::size_t remaining = budget > static_cast<std::size_t>(
-                                                 machine->evaluations())
-                                        ? budget - machine->evaluations()
-                                        : 1;
-      if (to_measure.size() > remaining) to_measure.resize(remaining);
       values.resize(to_measure.size());
       evaluator.evaluate_into(to_measure, values, censored);
       ++stats.batches;
@@ -234,18 +168,25 @@ TuningResult TuningSession::run_speculative(
     } else {
       ++stats.cache_hits;
     }
-    it->second.consumed = true;
     const double v = it->second.value;
     out.trace.push_back({*c, v, /*estimated=*/false, it->second.censored});
     ++stats.consumed;
-    machine->report(v);
+    if (opts_.speculative) {
+      it->second.consumed = true;
+    } else {
+      cache.erase(it);
+    }
+    kernel->report(v);
   }
-  for (const auto& [config, entry] : cache) {
-    if (!entry.consumed) ++stats.wasted;
+  if (opts_.speculative) {
+    for (const auto& [config, entry] : cache) {
+      if (!entry.consumed) ++stats.wasted;
+    }
+    out.speculation = stats;
   }
   out.retry = evaluator.retry_stats();
 
-  const SearchResult& sr = machine->result();
+  const SearchResult& sr = kernel->result();
   out.best_config = sr.best;
   out.best_performance = sr.best_value;
   out.evaluations = sr.evaluations;

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/objective.hpp"
@@ -47,17 +48,15 @@ struct TuningOptions {
   /// ExtremeCornerStrategy to reproduce the original behaviour.
   std::shared_ptr<const InitialSimplexStrategy> strategy =
       std::make_shared<EvenSpreadStrategy>();
-  /// Speculative frontier evaluation: at every kernel step the session
-  /// measures the whole candidate frontier (StepwiseSimplex::frontier) in
-  /// one Objective::measure_batch call — fanning out across the thread pool
-  /// when the objective supports it — and parks the values the trajectory
-  /// does not consume immediately in a configuration-keyed cache for later
-  /// steps. The search trajectory is bit-identical to the serial kernel for
-  /// deterministic objectives: speculation changes *when* measurements
-  /// happen, never *which* values the search consumes. Stochastic
-  /// objectives draw their noise in frontier order instead of trajectory
-  /// order, so their traces differ from the serial kernel (but stay
-  /// thread-count invariant under the measure_batch contract).
+  /// Speculative frontier evaluation: on a cache miss the session measures
+  /// the kernel's whole candidate frontier (SearchStrategy::frontier) in one
+  /// batch — fanning out across the thread pool when the objective supports
+  /// it — and keeps the values for later steps. Trajectories stay
+  /// bit-identical to the serial session for deterministic objectives:
+  /// speculation changes *when* measurements happen, never *which* values
+  /// the search consumes. Stochastic objectives draw their noise in
+  /// frontier order, so their traces differ from the serial session (but
+  /// stay thread-count invariant under the measure_batch contract).
   bool speculative = false;
   /// Fault tolerance: when `retry.enabled()`, measurements go through the
   /// fallible path (Objective::try_measure / try_measure_batch) with the
@@ -102,15 +101,45 @@ struct TuningResult {
   RetryStats retry;  ///< fault-path accounting (zeroes when retry disabled)
 };
 
+/// A planned §4.2 warm start: the initial vertices, the performance
+/// pre-supplied for each of them (NaN = measure live) and the non-censored
+/// prior-run history for kernels that model-seed from it.
+struct WarmStart {
+  std::vector<Configuration> vertices;
+  std::vector<double> values;
+  std::vector<std::pair<Configuration, double>> history;
+};
+
+/// Plans a warm start from a retrieved prior run: the best distinct
+/// configurations of `history` (best first, snapped) seed the initial
+/// vertices, SeededStrategy fills any remainder around the best one.
+/// `use_recorded_values` pre-supplies the seeds' recorded performances
+/// instead of re-measuring them; `estimate_missing` (with at least two
+/// history entries) gives every vertex still unvalued the §4.3
+/// triangulation estimate fitted over the whole history. An empty history
+/// plans nothing (empty vertices).
+[[nodiscard]] WarmStart plan_warm_start(const ParameterSpace& space,
+                                        const Configuration& start,
+                                        const std::vector<Measurement>& history,
+                                        bool use_recorded_values,
+                                        bool estimate_missing);
+
+/// Builds the search kernel a session runs: `spec`'s kernel over the
+/// planned vertices, values and history, with the session's retry-aware
+/// effective simplex options.
+[[nodiscard]] std::unique_ptr<SearchStrategy> make_session_kernel(
+    const TuningOptions& opts, const SearchSpec& spec,
+    const ParameterSpace& space, WarmStart plan);
+
 class TuningSession {
  public:
   /// The objective must outlive the session.
   TuningSession(const ParameterSpace& space, Objective& objective,
                 TuningOptions options = {});
 
-  /// Warm start (training stage): the initial simplex is seeded from these
-  /// configurations — typically the best ones recorded for the workload the
-  /// data analyzer classified. When `use_recorded_values` is true, their
+  /// Warm start (training stage, plan_warm_start): the initial simplex is
+  /// seeded from the best configurations of `history` — typically the run
+  /// the data analyzer classified. When `use_recorded_values` is true, their
   /// recorded performances are fed to the kernel instead of re-measuring
   /// (the paper's "save time by not retrying those configurations again");
   /// otherwise the seeds are re-measured live.
@@ -127,27 +156,17 @@ class TuningSession {
   /// space's default configuration).
   void set_start(Configuration start);
 
-  /// Runs the tuning process to convergence or budget exhaustion.
+  /// Runs the tuning process to convergence or budget exhaustion: one
+  /// peek -> measure -> report loop for every TuningOptions mode.
   [[nodiscard]] TuningResult run();
 
  private:
-  [[nodiscard]] TuningResult run_speculative(
-      std::vector<Configuration> vertices, std::vector<double> seeded_values);
-  [[nodiscard]] TuningResult run_fault_tolerant(
-      std::vector<Configuration> vertices, std::vector<double> seeded_values);
-  /// Builds the configured search kernel over these initial vertices, with
-  /// the retry-aware effective options and the seed history (for kernels
-  /// that can model-seed from prior runs).
-  [[nodiscard]] std::unique_ptr<SearchStrategy> make_kernel(
-      std::vector<Configuration> vertices, std::vector<double> seeded_values);
-
   const ParameterSpace& space_;
   Objective& objective_;
   TuningOptions opts_;
   Configuration start_;
-  std::vector<Configuration> seed_configs_;
-  std::vector<double> seed_values_;  // NaN => measure live
-  std::vector<Measurement> seed_history_;  // estimator input
+  std::vector<Measurement> seed_history_;  // warm-start input; empty = cold
+  bool use_recorded_values_ = false;
   bool estimate_missing_ = false;
 };
 

@@ -73,6 +73,22 @@ void Connection::reject_pending(const std::string& what) {
 }
 
 void Connection::execute_pending() {
+  const std::size_t mark = out_.size();
+  try {
+    execute_step();
+  } catch (const Error& e) {
+    // A reply that cannot be built or encoded (an argument the framing
+    // rejects) is this connection's failure alone: drop any partial reply
+    // bytes, ERROR and close, rather than let the exception escape the
+    // dispatch batch and take the whole daemon down.
+    out_.resize(mark);
+    fatal(e.what());
+    return;
+  }
+  pending_ = PendingKind::kNone;
+}
+
+void Connection::execute_step() {
   switch (pending_) {
     case PendingKind::kNone:
       return;
@@ -108,7 +124,6 @@ void Connection::execute_pending() {
       break;
     }
   }
-  pending_ = PendingKind::kNone;
 }
 
 void Connection::consume_output(std::size_t n) noexcept {

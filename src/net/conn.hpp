@@ -20,7 +20,9 @@
 //    budget) queue an ERROR reply and the session continues;
 //  * wire-level violations (bad preamble, CRC mismatch, oversized frame,
 //    malformed binary payload) queue an ERROR and mark the connection for
-//    close — a corrupt framing layer cannot be resynced.
+//    close — a corrupt framing layer cannot be resynced;
+//  * a reply that cannot be encoded is likewise fatal to its connection
+//    alone, never to the batch it executes in.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +69,8 @@ class Connection {
   /// Executes the pending request against the session and queues the
   /// reply. Safe to call concurrently with *other* connections'
   /// execute_pending(); requires the shared analyzer (if any) to be
-  /// fitted first.
+  /// fitted first. A harmony::Error raised while building or encoding the
+  /// reply is fatal to this connection only (ERROR queued, wants_close()).
   void execute_pending();
 
   [[nodiscard]] proto::ServerSession& session() noexcept { return session_; }
@@ -95,6 +98,8 @@ class Connection {
   [[nodiscard]] bool binary() const noexcept {
     return decoder_.mode() == StreamDecoder::Mode::kBinary;
   }
+  /// execute_pending()'s body: runs the pending request, queues the reply.
+  void execute_step();
   void queue_reply(const proto::Message& m);
   void fatal(const std::string& what);
 

@@ -14,7 +14,6 @@
 #include "core/server.hpp"
 #include "net/conn.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace harmony::net {
 
@@ -212,28 +211,19 @@ void TuningService::dispatch_batch(const std::vector<Slot*>& batch) {
   }
   if (!exec.empty()) {
     stats_.steps += exec.size();
-    // One classifier fit for the whole batch; retrievals inside
-    // execute_pending() are then pure reads. Steady-state ingest extends
-    // the database's append chain, so this is usually an O(batch)
-    // incremental update, not an O(db) rebuild — the stats record which.
-    analyzer_.ensure_fitted(db_);
+    // One classifier fit for the whole batch — steady-state ingest extends
+    // the database's append chain, so usually an O(batch) incremental
+    // update, not an O(db) rebuild — then the connections' steps in
+    // parallel, then one group commit for every session that finished.
+    stats_.records_ingested += execute_batch(
+        analyzer_, db_, store_, exec.size(),
+        [&](std::size_t i) { exec[i]->conn.execute_pending(); },
+        [&](std::size_t i) {
+          return exec[i]->conn.session().take_pending_experience();
+        });
     const auto& rs = analyzer_.refit_stats();
     stats_.full_refits = rs.full;
     stats_.incremental_refits = rs.incremental;
-    parallel_for(exec.size(),
-                 [&](std::size_t i) { exec[i]->conn.execute_pending(); });
-    // All shared-state writes happen here, after the barrier, as one group
-    // commit — one database version bump per batch, not per session.
-    std::vector<ExperienceRecord> records;
-    for (Slot* s : exec) {
-      if (auto r = s->conn.session().take_pending_experience()) {
-        records.push_back(std::move(*r));
-      }
-    }
-    if (!records.empty()) {
-      stats_.records_ingested += records.size();
-      ingest_experience(db_, store_, std::move(records));
-    }
   }
 
   // Reply, pick up pipelined bytes, and close what finished. flush_output

@@ -6,13 +6,11 @@
 // window and drives them as one batch —
 //
 //   1. admission (pending HELLOs checked against per-tenant budgets),
-//   2. one analyzer ensure_fitted() for the whole batch (the expensive
-//      classifier refit is paid once, not once per step),
-//   3. parallel_for over the connections' execute_pending() — pure reads
-//      of the shared database, each connection touching only itself,
-//   4. one ingest_experience() group commit for every session that
-//      finished in the batch (single database version bump, single store
-//      commit).
+//   2. execute_batch (core/server.hpp), the executor serve_batch shares:
+//      one analyzer fit for the whole batch, the connections'
+//      execute_pending() in parallel — pure reads of the shared database,
+//      each connection touching only itself — and one group commit for
+//      every session that finished in the batch.
 //
 // The window fires adaptively: as soon as every open connection has a
 // pending step (nothing left to wait for), when max_batch_steps is

@@ -88,13 +88,23 @@ TEST(HistoryDatabase, FileRoundTripAndMissingFile) {
   EXPECT_THROW(loaded.load_file("/nonexistent/dir/x.txt"), Error);
 }
 
+/// Fits `c` over `known` (an owned database copy), then classifies.
+std::size_t fit_classify(Classifier& c, const WorkloadSignature& observed,
+                         const std::vector<WorkloadSignature>& known) {
+  HARMONY_REQUIRE(!known.empty(), "classify against empty signature set");
+  HistoryDatabase db;
+  for (const WorkloadSignature& s : known) db.add({"", s, {}});
+  c.fit(db.signature_view());
+  return c.classify(observed);
+}
+
 TEST(LeastSquareClassifier, PicksNearestSignature) {
   LeastSquareClassifier c;
   const std::vector<WorkloadSignature> known = {
       {0.0, 0.0}, {1.0, 1.0}, {2.0, 2.0}};
-  EXPECT_EQ(c.classify({0.9, 1.05}, known), 1u);
-  EXPECT_EQ(c.classify({-5.0, 0.0}, known), 0u);
-  EXPECT_THROW((void)c.classify({0.0}, {}), Error);
+  EXPECT_EQ(fit_classify(c, {0.9, 1.05}, known), 1u);
+  EXPECT_EQ(fit_classify(c, {-5.0, 0.0}, known), 0u);
+  EXPECT_THROW((void)fit_classify(c, {0.0}, {}), Error);
 }
 
 TEST(KMeansClassifier, AgreesWithNearestNeighbourOnSeparatedClusters) {
@@ -105,17 +115,17 @@ TEST(KMeansClassifier, AgreesWithNearestNeighbourOnSeparatedClusters) {
   for (double d : {5.0, 5.1, 5.2}) known.push_back({d, d});
   for (const WorkloadSignature obs :
        {WorkloadSignature{0.15, 0.1}, {5.05, 5.2}, {2.0, 2.0}}) {
-    const auto got = km.classify(obs, known);
+    const auto got = fit_classify(km, obs, known);
     // Same cluster as nearest neighbour (exact index may differ inside a
     // cluster only if distances tie; these do not).
-    EXPECT_EQ(got, nn.classify(obs, known));
+    EXPECT_EQ(got, fit_classify(nn, obs, known));
   }
 }
 
 TEST(KMeansClassifier, KLargerThanDataFallsBackSanely) {
   KMeansClassifier km(10);
   const std::vector<WorkloadSignature> known = {{0.0}, {4.0}};
-  EXPECT_EQ(km.classify({3.5}, known), 1u);
+  EXPECT_EQ(fit_classify(km, {3.5}, known), 1u);
   EXPECT_THROW(KMeansClassifier(0), Error);
 }
 
@@ -134,8 +144,8 @@ TEST(DecisionTreeClassifier, AgreesWithExactNearestNeighbour) {
     for (int q = 0; q < 10; ++q) {
       const WorkloadSignature obs = {rng.uniform01(), rng.uniform01(),
                                      rng.uniform01()};
-      const auto got = tree.classify(obs, known);
-      const auto want = nn.classify(obs, known);
+      const auto got = fit_classify(tree, obs, known);
+      const auto want = fit_classify(nn, obs, known);
       EXPECT_DOUBLE_EQ(signature_distance_sq(obs, known[got]),
                        signature_distance_sq(obs, known[want]));
     }
@@ -146,11 +156,11 @@ TEST(DecisionTreeClassifier, HandlesDegenerateData) {
   DecisionTreeClassifier tree(1);
   // All signatures identical: no split possible.
   const std::vector<WorkloadSignature> same = {{1.0, 1.0}, {1.0, 1.0}};
-  EXPECT_LT(tree.classify({0.9, 1.1}, same), 2u);
+  EXPECT_LT(fit_classify(tree, {0.9, 1.1}, same), 2u);
   // Single member.
-  EXPECT_EQ(tree.classify({5.0}, {{0.0}}), 0u);
-  EXPECT_THROW((void)tree.classify({0.0}, {}), Error);
-  EXPECT_THROW((void)tree.classify({0.0, 1.0}, {{0.0}}), Error);
+  EXPECT_EQ(fit_classify(tree, {5.0}, {{0.0}}), 0u);
+  EXPECT_THROW((void)fit_classify(tree, {0.0}, {}), Error);
+  EXPECT_THROW((void)fit_classify(tree, {0.0, 1.0}, {{0.0}}), Error);
   EXPECT_THROW(DecisionTreeClassifier(0), Error);
 }
 

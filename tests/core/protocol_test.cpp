@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <tuple>
+
+#include "core/objective.hpp"
 #include "core/rsl.hpp"
+#include "core/server.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace harmony::proto {
 namespace {
@@ -239,6 +248,112 @@ TEST(ServerSession, StepBudgetLimitsFetches) {
   EXPECT_EQ(over.verb, "ERROR");
   EXPECT_NE(over.args[0].find("budget"), std::string::npos);
 }
+
+TEST(ServerSession, WarmStartLabelIsOneToken) {
+  // A client name may hold whitespace; the SIGNATURE reply carries it as a
+  // single argument, so it must reach the wire folded to one token.
+  HistoryDatabase db;
+  db.add({"my app\tv2", {0.5}, {{{3.0, -2.0}, 0.0}}});
+  SessionOptions opts;
+  opts.record_experience = false;
+  ServerSession session(opts, &db);
+  (void)session.handle({"HELLO", {"next"}});
+  (void)session.handle({"BUNDLES", {kRsl}});
+  const Message sig = session.handle({"SIGNATURE", {"1", "0.5"}});
+  ASSERT_EQ(sig.args.size(), 2u);
+  EXPECT_EQ(sig.args[1], "my_app_v2");
+  EXPECT_EQ(parse_message(serialize(sig)).args, sig.args);
+}
+
+/// Served and in-process warm starts share one planner: for the same
+/// database, objective and options, a ServerSession driven through
+/// SIGNATURE/FETCH/REPORT and HarmonyServer::tune (TuningSession) must
+/// consume bit-identical traces for every kernel, with or without the
+/// recorded values.
+class WarmStartParity
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(WarmStartParity, ServedTraceMatchesInProcess) {
+  const auto& [kernel, recorded] = GetParam();
+  const ParameterSpace space = parse_rsl(kRsl);
+  const auto objective_fn = [](const Configuration& c) {
+    return measure(c) + 0.25 * std::sin(c[0] * 1.7 + c[1]);
+  };
+
+  // One prior run, recorded cold, is the whole experience database.
+  ServerOptions cold;
+  cold.tuning.simplex.max_evaluations = 30;
+  HarmonyServer recorder(space, cold);
+  FunctionObjective prior_objective(objective_fn);
+  (void)recorder.tune(prior_objective, {0.5}, "prior");
+  ASSERT_EQ(recorder.database().size(), 1u);
+  ASSERT_GT(recorder.database().record(0).measurements.size(),
+            space.size() + 1);
+
+  TuningOptions tuning;
+  tuning.simplex.max_evaluations = 60;
+  tuning.search.kernel = kernel;
+
+  ServerOptions so;
+  so.tuning = tuning;
+  so.use_recorded_values = recorded;
+  so.record_experience = false;
+  HarmonyServer server(space, so);
+  server.database() = recorder.database();
+  FunctionObjective objective(objective_fn);
+  const ServedTuningResult local = server.tune(objective, {0.5}, "app");
+  ASSERT_FALSE(local.failed) << local.failure;
+  ASSERT_EQ(local.experience_label, "prior");
+
+  HistoryDatabase db = recorder.database();
+  SessionOptions opts;
+  opts.tuning = tuning;
+  opts.use_recorded_values = recorded;
+  opts.record_experience = false;
+  ServerSession session(opts, &db);
+  ASSERT_EQ(session.handle({"HELLO", {"app"}}).verb, "OK");
+  ASSERT_EQ(session.handle({"BUNDLES", {kRsl}}).verb, "OK");
+  const Message sig = session.handle({"SIGNATURE", {"1", "0.5"}});
+  ASSERT_EQ(sig.args, (std::vector<std::string>{"experience", "prior"}));
+  Message reply;
+  for (int steps = 0;; ++steps) {
+    ASSERT_LT(steps, 1000);
+    reply = session.handle({"FETCH", {}});
+    if (reply.is("DONE")) break;
+    ASSERT_EQ(reply.verb, "CONFIG");
+    Configuration c;
+    for (std::size_t i = 1; i < reply.args.size(); ++i) {
+      c.push_back(parse_double(reply.args[i]));
+    }
+    ASSERT_EQ(session.handle({"REPORT", {format_double(objective_fn(c))}}).verb,
+              "OK");
+  }
+
+  const std::vector<Measurement>& served = session.trace();
+  const std::vector<Measurement>& in_process = local.tuning.trace;
+  ASSERT_EQ(served.size(), in_process.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].config, in_process[i].config) << "step " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(served[i].performance),
+              std::bit_cast<std::uint64_t>(in_process[i].performance))
+        << "step " << i;
+  }
+  // DONE: <n> <values...> <perf> <evals> <stop-reason> ...
+  const std::size_t n = space.size();
+  ASSERT_GE(reply.args.size(), n + 4);
+  EXPECT_EQ(parse_double(reply.args[n + 1]), local.tuning.best_performance);
+  EXPECT_EQ(parse_long(reply.args[n + 2]), local.tuning.evaluations);
+  EXPECT_EQ(reply.args[n + 3], local.tuning.stop_reason);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelsAndRecordedValues, WarmStartParity,
+    ::testing::Combine(::testing::Values("simplex", "ils", "evolutionary"),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_recorded" : "_remeasured");
+    });
 
 }  // namespace
 }  // namespace harmony::proto

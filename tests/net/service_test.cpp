@@ -27,8 +27,9 @@ double measure(const Configuration& c) {
 /// Runs a service on a background thread for the scope of a test.
 class ServiceFixture {
  public:
-  explicit ServiceFixture(ServiceOptions opts = {})
-      : service_(db_, analyzer_, nullptr, std::move(opts)),
+  explicit ServiceFixture(ServiceOptions opts = {}, HistoryDatabase db = {})
+      : db_(std::move(db)),
+        service_(db_, analyzer_, nullptr, std::move(opts)),
         thread_([this] { service_.run(); }) {}
 
   ~ServiceFixture() { stop(); }
@@ -182,6 +183,30 @@ TEST(TuningService, StatsCountBatchesAndSteps) {
   EXPECT_GT(s.steps, 0u);
   EXPECT_GT(s.batches, 0u);
   EXPECT_GE(s.steps, s.batches);
+}
+
+TEST(TuningService, WhitespaceLabelReachesTextClientAsOneToken) {
+  ServiceOptions opts;
+  opts.session.tuning.simplex.max_evaluations = 20;
+  HistoryDatabase db;
+  db.add({"my app", {0.0}, {{{3.0, -2.0}, 0.0}}});
+  ServiceFixture fixture(opts, std::move(db));
+
+  // The label travels as one reply argument: a raw space would fail the
+  // text encoder on a pool thread and, unguarded, take the daemon down.
+  {
+    SocketTransport t("127.0.0.1", fixture.port(), /*binary=*/false);
+    EXPECT_EQ(t({"HELLO", {"warm"}}).verb, "OK");
+    EXPECT_EQ(t({"BUNDLES", {kRsl}}).verb, "OK");
+    const proto::Message sig = t({"SIGNATURE", {"1", "0"}});
+    EXPECT_EQ(proto::serialize(sig), "OK experience my_app");
+    EXPECT_EQ(t({"BYE", {}}).verb, "OK");
+  }
+  // The daemon is still serving: a later session runs to DONE.
+  const SessionOutcome next = run_session(fixture.port(), false, "next");
+  EXPECT_GT(next.evaluations, 0);
+  fixture.stop();
+  EXPECT_EQ(fixture.service().stats().wire_errors, 0u);
 }
 
 }  // namespace

@@ -69,70 +69,37 @@ for b in $BENCHES; do
   echo "$status  ${secs}s"
   [ $first -eq 1 ] || printf ',\n' >> "$JSON"
   first=0
-  # Benches report throughput on EVENTS_PER_SEC <name> <rate> marker lines,
-  # strategy-tournament cells on TOURNAMENT_<key> <value> lines,
-  # speculation metrics on SPECULATION_<key> <value> lines, fault-path
-  # metrics on FAULT_TOLERANCE_<key> <value> lines, SIMD kernel speedups on
-  # SIMD_<key> <value> lines, DES queue-backend comparisons on
-  # DES_<key> <value> lines and durable-store metrics on PERSIST_<key>
-  # <value> lines, serving-front-end metrics on SERVE_<key> <value>
-  # lines and delta-aware refit metrics on INCFIT_<key> <value> lines;
-  # fold any such markers into the bench's JSON entry.
-  rates=$(awk '/^EVENTS_PER_SEC / {
-                 if (n++) printf ", ";
-                 printf "\"%s\": %s", $2, $3
-               }' "$OUT_DIR/$b.log")
-  spec=$(awk '/^SPECULATION_/ {
-                key = substr($1, length("SPECULATION_") + 1);
-                if (n++) printf ", ";
-                printf "\"%s\": %s", key, $2
-              }' "$OUT_DIR/$b.log")
-  fault=$(awk '/^FAULT_TOLERANCE_/ {
-                 key = substr($1, length("FAULT_TOLERANCE_") + 1);
-                 if (n++) printf ", ";
-                 printf "\"%s\": %s", key, $2
-               }' "$OUT_DIR/$b.log")
-  simd=$(awk '/^SIMD_/ {
-                key = substr($1, length("SIMD_") + 1);
-                if (n++) printf ", ";
-                if ($2 ~ /^[0-9.eE+-]+$/) printf "\"%s\": %s", key, $2;
-                else printf "\"%s\": \"%s\"", key, $2
-              }' "$OUT_DIR/$b.log")
-  des=$(awk '/^DES_/ {
-               key = substr($1, length("DES_") + 1);
-               if (n++) printf ", ";
-               printf "\"%s\": %s", key, $2
-             }' "$OUT_DIR/$b.log")
-  persist=$(awk '/^PERSIST_/ {
-                   key = substr($1, length("PERSIST_") + 1);
-                   if (n++) printf ", ";
-                   printf "\"%s\": %s", key, $2
-                 }' "$OUT_DIR/$b.log")
-  serve=$(awk '/^SERVE_/ {
-                 key = substr($1, length("SERVE_") + 1);
-                 if (n++) printf ", ";
-                 printf "\"%s\": %s", key, $2
-               }' "$OUT_DIR/$b.log")
-  incfit=$(awk '/^INCFIT_/ {
-                  key = substr($1, length("INCFIT_") + 1);
-                  if (n++) printf ", ";
-                  printf "\"%s\": %s", key, $2
-                }' "$OUT_DIR/$b.log")
-  tourn=$(awk '/^TOURNAMENT_/ {
-                 key = substr($1, length("TOURNAMENT_") + 1);
-                 if (n++) printf ", ";
-                 printf "\"%s\": %s", key, $2
-               }' "$OUT_DIR/$b.log")
-  extra=""
-  [ -n "$rates" ] && extra="$extra, \"events_per_sec\": {$rates}"
-  [ -n "$spec" ] && extra="$extra, \"speculation\": {$spec}"
-  [ -n "$fault" ] && extra="$extra, \"fault_tolerance\": {$fault}"
-  [ -n "$simd" ] && extra="$extra, \"simd\": {$simd}"
-  [ -n "$des" ] && extra="$extra, \"des\": {$des}"
-  [ -n "$persist" ] && extra="$extra, \"persistence\": {$persist}"
-  [ -n "$serve" ] && extra="$extra, \"serving\": {$serve}"
-  [ -n "$incfit" ] && extra="$extra, \"incremental_fit\": {$incfit}"
-  [ -n "$tourn" ] && extra="$extra, \"tournament\": {$tourn}"
+  # Fold the bench's marker lines into its JSON entry, one object per
+  # marker prefix, in the table's order. EVENTS_PER_SEC lines read
+  # "EVENTS_PER_SEC <name> <rate>"; every other marker reads
+  # "<PREFIX><key> <value>". SIMD_ values may be strings (ISA names).
+  extra=$(awk '
+    BEGIN {
+      n = split("EVENTS_PER_SEC events_per_sec SPECULATION_ speculation " \
+                "FAULT_TOLERANCE_ fault_tolerance SIMD_ simd DES_ des " \
+                "PERSIST_ persistence SERVE_ serving " \
+                "INCFIT_ incremental_fit TOURNAMENT_ tournament", t, " ")
+      for (i = 1; i < n; i += 2) { prefix[++k] = t[i]; section[k] = t[i + 1] }
+    }
+    {
+      for (i = 1; i <= k; ++i) {
+        p = prefix[i]
+        if (p == "EVENTS_PER_SEC") {
+          if (index($0, p " ") != 1) continue
+          key = $2; value = $3
+        } else {
+          if (index($0, p) != 1) continue
+          key = substr($1, length(p) + 1); value = $2
+        }
+        if (p == "SIMD_" && value !~ /^[0-9.eE+-]+$/) value = "\"" value "\""
+        body[i] = body[i] (body[i] == "" ? "" : ", ") "\"" key "\": " value
+      }
+    }
+    END {
+      for (i = 1; i <= k; ++i) {
+        if (body[i] != "") printf ", \"%s\": {%s}", section[i], body[i]
+      }
+    }' "$OUT_DIR/$b.log")
   printf '    "%s": {"seconds": %s, "status": "%s"%s}' \
     "$b" "$secs" "$status" "$extra" >> "$JSON"
 done

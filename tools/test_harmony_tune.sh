@@ -268,6 +268,24 @@ svwarm_runs=$(echo "$svwarm" | sed 's/.*after \([0-9]*\) runs.*/\1/')
   echo "($svcold_runs)"; exit 1; }
 stop_daemon
 
+# A stored experience label with whitespace must not kill the daemon: the
+# SIGNATURE reply folds it to one token, and later sessions are served.
+"$TUNE" --rsl "$DIR/params.rsl" --budget 40 --quiet --label "my app" \
+    --store "$DIR/spaced" -- "$DIR/app.sh" > /dev/null
+start_daemon --store "$DIR/spaced" --budget 40 --quiet
+"$TUNE" --rsl "$DIR/params.rsl" --connect "127.0.0.1:$PORT" \
+    -- "$DIR/app.sh" > /dev/null 2> "$DIR/spaced.err" || {
+  echo "FAIL: session warm-started from a whitespace label failed";
+  cat "$DIR/spaced.err"; exit 1; }
+grep -q "warm-started from experience 'my_app'" "$DIR/spaced.err" || {
+  echo "FAIL: whitespace label not folded in the SIGNATURE reply";
+  cat "$DIR/spaced.err"; exit 1; }
+spaced=$("$TUNE" --rsl "$DIR/params.rsl" --quiet \
+         --connect "127.0.0.1:$PORT" -- "$DIR/app.sh")
+echo "$spaced" | grep -q "x=12" || {
+  echo "FAIL: daemon stopped serving after a whitespace label"; exit 1; }
+stop_daemon
+
 # Client mode delegates the search, so search-shaping flags are rejected.
 # Kernel names are fine (they ride the HELLO payload), but the
 # initial-simplex strategies configure the server side and are not.
