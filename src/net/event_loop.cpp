@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <ctime>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -34,8 +35,21 @@ void EventLoop::remove(int fd) {
                   std::string("epoll_ctl del: ") + std::strerror(errno));
 }
 
-int EventLoop::wait(epoll_event* events, int max_events, int timeout_ms) {
-  const int n = ::epoll_wait(epfd_.get(), events, max_events, timeout_ms);
+int EventLoop::wait(epoll_event* events, int max_events,
+                    std::int64_t timeout_us) {
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(timeout_us / 1000000);
+  ts.tv_nsec = static_cast<long>(timeout_us % 1000000) * 1000;
+  int n = ::epoll_pwait2(epfd_.get(), events, max_events,
+                         timeout_us < 0 ? nullptr : &ts, nullptr);
+  if (n < 0 && errno == ENOSYS) {
+    // Kernels before 5.11 lack epoll_pwait2: fall back to whole
+    // milliseconds, rounded up so the deadline is never cut short.
+    const int ms = timeout_us < 0
+                       ? -1
+                       : static_cast<int>((timeout_us + 999) / 1000);
+    n = ::epoll_wait(epfd_.get(), events, max_events, ms);
+  }
   if (n < 0) {
     if (errno == EINTR) return 0;
     throw Error(std::string("epoll_wait: ") + std::strerror(errno));

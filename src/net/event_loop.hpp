@@ -1,7 +1,8 @@
 // RAII epoll wrapper: registration keyed by fd, user data carried as a
 // void*. Just enough surface for the serving front end's single-threaded
 // readiness loop; no timerfd/ET extras — the loop passes its coalescing
-// deadline as the wait timeout.
+// deadline as the wait timeout, in microseconds (epoll_pwait2), so windows
+// below 1 ms are honoured.
 #pragma once
 
 #include <sys/epoll.h>
@@ -22,10 +23,10 @@ class EventLoop {
   void modify(int fd, std::uint32_t events, void* data);
   void remove(int fd);
 
-  /// Waits up to `timeout_ms` (-1 = forever) and fills `events`; returns
-  /// the number ready. EINTR returns 0 (the caller re-checks its stop
-  /// flag), every other failure throws.
-  int wait(epoll_event* events, int max_events, int timeout_ms);
+  /// Waits up to `timeout_us` microseconds (negative = forever) and fills
+  /// `events`; returns the number ready. EINTR returns 0 (the caller
+  /// re-checks its stop flag), every other failure throws.
+  int wait(epoll_event* events, int max_events, std::int64_t timeout_us);
 
  private:
   Fd epfd_;

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 
 #include "core/server.hpp"
@@ -71,7 +72,7 @@ void TuningService::run() {
       if (!s->conn.wants_close()) ++open;
       if (s->conn.has_pending()) ++pending;
     }
-    int timeout_ms = -1;
+    std::int64_t timeout_us = -1;
     if (pending > 0) {
       if (!opts_.coalesce) {
         // One-at-a-time baseline: each pending step is its own dispatch.
@@ -98,15 +99,15 @@ void TuningService::run() {
         deadline_set = false;
         continue;
       }
-      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-                            deadline - now)
-                            .count();
-      timeout_ms = static_cast<int>((left + 999) / 1000);
+      // Microsecond resolution, rounded up: the window may be well under
+      // a millisecond, and waking early would only spin.
+      timeout_us =
+          std::chrono::ceil<std::chrono::microseconds>(deadline - now).count();
     } else {
       deadline_set = false;
     }
 
-    const int n = loop_.wait(events, 64, timeout_ms);
+    const int n = loop_.wait(events, 64, timeout_us);
     for (int i = 0; i < n; ++i) {
       void* p = events[i].data.ptr;
       if (p == &listener_tag_) {

@@ -151,12 +151,18 @@ double stddev(std::span<const double> xs) {
 double percentile(std::vector<double> xs, double p) {
   HARMONY_REQUIRE(!xs.empty(), "percentile of empty sample");
   HARMONY_REQUIRE(p >= 0.0 && p <= 100.0, "percentile outside [0,100]");
-  std::sort(xs.begin(), xs.end());
   const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(rank));
   const auto hi = static_cast<std::size_t>(std::ceil(rank));
   const double frac = rank - static_cast<double>(lo);
-  return xs[lo] + (xs[hi] - xs[lo]) * frac;
+  // Only the two order statistics at lo and hi are needed: select the
+  // lo-th, then the hi-th is the minimum of the partition above it. Same
+  // values, and so the same interpolation, as after a full sort.
+  const auto lo_it = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), lo_it, xs.end());
+  const double x_lo = *lo_it;
+  const double x_hi = hi == lo ? x_lo : *std::min_element(lo_it + 1, xs.end());
+  return x_lo + (x_hi - x_lo) * frac;
 }
 
 double pearson(std::span<const double> a, std::span<const double> b) {

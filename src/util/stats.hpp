@@ -81,6 +81,8 @@ class Histogram {
 [[nodiscard]] double mean(std::span<const double> xs);
 [[nodiscard]] double stddev(std::span<const double> xs);
 /// Linear-interpolated percentile, p in [0, 100]. Throws on empty input.
+/// Selects rather than sorts (O(n)); callers done with their sample can
+/// move it in to skip the copy.
 [[nodiscard]] double percentile(std::vector<double> xs, double p);
 /// Pearson correlation of two equal-length samples; 0 when degenerate.
 [[nodiscard]] double pearson(std::span<const double> a, std::span<const double> b);

@@ -5,17 +5,11 @@
 // accounting. All simulator components (stations, browsers, queues) are
 // built on `schedule`/`now`.
 //
-// Two queue backends share the identical (time, seq) total order and the
-// same slot-pool callback storage (see DESIGN.md §11):
-//   * kCalendar (default): a calendar queue of intrusive pairing heaps —
-//     pending events hang off per-slot parallel link arrays, each bucket
-//     holds one pairing heap, inserts are O(1) melds and pops amortize to
-//     O(log bucket). Bucket width recalibrates deterministically from the
-//     median positive gap of sampled pending times when the population
-//     doubles or quarters; the bucket count only grows (powers of two).
-//     Equal-time floods degrade gracefully to a single pairing heap.
-//   * kBinaryHeap: the std::push_heap/pop_heap baseline, kept for
-//     differential tests and benchmarks.
+// The pending set is one binary min-heap (std::push_heap/pop_heap) on the
+// (time, seq) total order. A calendar queue of pairing heaps used to sit
+// beside it and was deleted: it recalibrates only above 64 pending events,
+// so at the tuning workloads' 60 browsers it ran as one pairing heap and
+// was slower than this heap (see DESIGN.md §11).
 //
 // The hot path is allocation-free and copy-free in steady state:
 //   * Event callbacks are fixed-capacity inline callables — scheduling
@@ -23,9 +17,8 @@
 //   * Callbacks live in chunked slot storage with stable addresses. The
 //     templated schedule path constructs the callable directly in its slot
 //     (zero intermediate moves) and dispatch invokes it in place.
-//   * Queue entries are plain data (time + packed seq/slot), so neither
-//     heap sifts nor pairing-heap melds ever touch callback storage, and
-//     calendar rebuilds reuse reserved bucket capacity.
+//   * Queue entries are plain data (time + packed seq/slot), so heap sifts
+//     never touch callback storage.
 // Warm free lists (or a reserve_events() call) make schedule/step perform
 // zero heap allocations.
 #pragma once
@@ -46,18 +39,6 @@ namespace harmony::websim {
 
 using SimTime = double;  ///< seconds of simulated time
 
-/// Event-queue backend selector.
-enum class DesQueueMode : int { kBinaryHeap = 0, kCalendar = 1 };
-
-/// Process-wide default backend for newly constructed Simulations:
-/// honours HARMONY_DES_QUEUE=heap|calendar (anything else throws), defaults
-/// to the calendar queue. Cached after the first call.
-[[nodiscard]] DesQueueMode des_queue_mode();
-
-/// Overrides the process-wide default (tests and benches); only affects
-/// Simulations constructed afterwards.
-void set_des_queue_mode(DesQueueMode mode);
-
 class Simulation {
  public:
   /// Inline storage for one event callback. Sized for the simulator's
@@ -65,12 +46,6 @@ class Simulation {
   /// inline Done callable); captures that do not fit fail to compile.
   static constexpr std::size_t kActionCapacity = 64;
   using Action = util::InlineFunction<void(), kActionCapacity>;
-
-  /// Picks the queue backend at construction (default: des_queue_mode()).
-  explicit Simulation(DesQueueMode mode = des_queue_mode());
-
-  /// Backend this instance runs on.
-  [[nodiscard]] DesQueueMode queue_mode() const noexcept { return mode_; }
 
   /// Current simulated time (0 at construction).
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -103,9 +78,9 @@ class Simulation {
   }
   void schedule_at(SimTime when, Action action);
 
-  /// Pre-sizes the queue (binary heap, or the calendar bucket array) and
-  /// the callback slot pool for roughly `n` simultaneously-pending events,
-  /// avoiding reallocation churn in schedule-heavy phases.
+  /// Pre-sizes the event heap and the callback slot pool for roughly `n`
+  /// simultaneously-pending events, avoiding reallocation churn in
+  /// schedule-heavy phases.
   void reserve_events(std::size_t n);
 
   /// Executes the next event; false when the queue is empty.
@@ -122,7 +97,7 @@ class Simulation {
 
   /// Events still pending.
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return mode_ == DesQueueMode::kCalendar ? count_ : heap_.size();
+    return heap_.size();
   }
 
  private:
@@ -163,80 +138,21 @@ class Simulation {
     if (free_slots_.empty()) add_slot_chunk();  // cold: amortised growth
     const std::uint32_t s = free_slots_.back();
     free_slots_.pop_back();
-    if (s + 1 > watermark_) watermark_ = s + 1;
     return s;
   }
 
   void push_event(SimTime when, std::uint32_t s) {
     HARMONY_REQUIRE(seq_ < kMaxSeq, "event sequence space exhausted");
-    const std::uint64_t key = (seq_++ << kSlotBits) | s;
-    if (mode_ == DesQueueMode::kCalendar) {
-      calendar_push(when, s, key);
-      return;
-    }
-    heap_.push_back(Event{when, key});
+    heap_.push_back(Event{when, (seq_++ << kSlotBits) | s});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
   void add_slot_chunk();
 
-  // ------------------------------------------------------ calendar queue
-  // Pending events are pairing-heap nodes addressed by their callback slot
-  // index: time/key carry the order, child/sibling the intrusive links
-  // (kNil = none). A node is one 24-byte struct, so a meld touches one
-  // cache line per node instead of four parallel arrays. time < 0 marks a
-  // free slot so rebuilds can walk [0, watermark_) without touching heap
-  // structure.
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  static constexpr std::size_t kMinBuckets = 64;   // first bucket array
-  static constexpr std::size_t kMinRebuild = 32;   // hysteresis floor
-  // Equal-time events are the calendar queue's worst case (every event in
-  // one pairing heap), so each heap node is a *group head* with an
-  // intrusive FIFO chain of events sharing its exact timestamp: appends
-  // and chain pops are O(1) and skip the heap entirely. Chaining is
-  // opportunistic — an equal-time event that does not match its bucket's
-  // root still melds in as a separate head, which stays correct because
-  // (time, key) is a total order either way.
-  struct Node {
-    double time;
-    std::uint64_t key;  ///< (seq << kSlotBits) | slot
-    std::uint32_t child;
-    std::uint32_t sibling;
-    std::uint32_t next;  ///< FIFO chain of equal-time events
-    std::uint32_t tail;  ///< last chain member (meaningful on group heads)
-  };
-
-  [[nodiscard]] bool ev_less(std::uint32_t a, std::uint32_t b) const noexcept {
-    const Node& na = nodes_[a];
-    const Node& nb = nodes_[b];
-    if (na.time != nb.time) return na.time < nb.time;
-    return na.key < nb.key;
-  }
-  [[nodiscard]] std::uint64_t vbucket(double t) const noexcept;
-  [[nodiscard]] std::uint32_t meld(std::uint32_t a,
-                                   std::uint32_t b) noexcept;
-  void bucket_insert(std::uint32_t s);
-  void calendar_push(SimTime when, std::uint32_t s, std::uint64_t key);
-  [[nodiscard]] std::uint32_t calendar_min();
-  void calendar_remove_min(std::uint32_t s);
-  void calendar_rebuild(std::size_t min_buckets);
-  bool calendar_step();
-
-  std::vector<Event> heap_;  ///< binary min-heap on (time, seq) (heap mode)
+  std::vector<Event> heap_;  ///< binary min-heap on (time, seq)
   std::vector<std::unique_ptr<Action[]>> slot_chunks_;
   std::vector<std::uint32_t> free_slots_;
-  // Calendar state (kCalendar mode only).
-  std::vector<Node> nodes_;  ///< per-slot pairing-heap node; time -1 = free
-  std::vector<std::uint32_t> bucket_head_;  ///< pairing-heap root per bucket
-  std::size_t nb_ = 0;          ///< bucket count (power of two, grow-only)
-  double width_ = 1.0;          ///< seconds of simulated time per bucket
-  double inv_width_ = 1.0;
-  std::size_t count_ = 0;       ///< pending events (calendar mode)
-  std::size_t rebuild_size_ = kMinRebuild;  ///< population at last rebuild
-  std::uint32_t cached_min_ = kNil;  ///< slot of the global min, if known
-  std::uint32_t watermark_ = 0;      ///< one past the highest slot ever used
 
-  DesQueueMode mode_;
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.hpp"
@@ -207,6 +209,55 @@ TEST(TuningService, WhitespaceLabelReachesTextClientAsOneToken) {
   EXPECT_GT(next.evaluations, 0);
   fixture.stop();
   EXPECT_EQ(fixture.service().stats().wire_errors, 0u);
+}
+
+// The coalescing window is honoured below 1 ms: with one connection open
+// but idle, the loop can never fire early on "every connection pending",
+// so each step of a busy session waits out the window. A 100 µs window
+// must cost about 100 µs a step, not a whole millisecond.
+TEST(TuningService, SubMillisecondCoalesceWindowIsHonoured) {
+  ServiceOptions opts;
+  opts.coalesce_window_us = 100;
+  opts.session.tuning.simplex.max_evaluations = 100;
+  opts.session.record_experience = false;  // both sessions run identically
+  ServiceFixture fixture(opts);
+
+  // Wall time and request count of one session, counted client-side.
+  auto timed_session = [&fixture] {
+    SocketTransport transport("127.0.0.1", fixture.port(), false);
+    int round_trips = 0;
+    proto::HarmonyClient client(
+        [&transport, &round_trips](const proto::Message& m) {
+          ++round_trips;
+          return transport(m);
+        });
+    const auto start = std::chrono::steady_clock::now();
+    client.open("busy", kRsl);
+    (void)client.send_signature({0.0});
+    while (const std::optional<Configuration> config = client.fetch()) {
+      client.report(measure(*config));
+    }
+    client.close();
+    const std::chrono::duration<double, std::milli> ms =
+        std::chrono::steady_clock::now() - start;
+    return std::pair{ms.count(), round_trips};
+  };
+
+  // Alone, every step dispatches as soon as it arrives: the control for
+  // this machine's per-step cost.
+  const auto [alone_ms, steps] = timed_session();
+  SocketTransport idle("127.0.0.1", fixture.port(), false);
+  ASSERT_EQ(idle({"HELLO", {"idle"}}).verb, "OK");
+  const auto [waited_ms, waited_steps] = timed_session();
+  fixture.stop();
+
+  ASSERT_EQ(waited_steps, steps);
+  ASSERT_GT(steps, 40);
+  // Whole-millisecond rounding would add >= 1 ms a step; the window is
+  // 0.1 ms, so allow half a millisecond of waiting per step.
+  EXPECT_LT(waited_ms - alone_ms, 0.5 * steps)
+      << steps << " steps: " << alone_ms << " ms alone, " << waited_ms
+      << " ms beside an idle connection";
 }
 
 }  // namespace

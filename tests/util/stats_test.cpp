@@ -1,6 +1,9 @@
 #include "util/stats.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -163,6 +166,36 @@ TEST(BatchStats, Percentile) {
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 2.5);
   EXPECT_THROW((void)percentile({}, 50.0), Error);
   EXPECT_THROW((void)percentile(xs, 101.0), Error);
+}
+
+TEST(BatchStats, PercentileSelectionMatchesSortDefinition) {
+  // The sort-based definition: interpolate between the floor- and
+  // ceil-rank elements of the sorted sample.
+  auto by_sort = [](std::vector<double> xs, double p) {
+    std::sort(xs.begin(), xs.end());
+    const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    const double frac = rank - static_cast<double>(lo);
+    return xs[lo] + (xs[hi] - xs[lo]) * frac;
+  };
+  Rng rng(2024);
+  for (std::size_t n = 1; n <= 257; ++n) {
+    // Few distinct values force ties at the selected ranks; every third
+    // sample is continuous instead.
+    std::vector<double> xs(n);
+    for (double& x : xs) {
+      x = n % 3 == 0 ? rng.uniform(-1e3, 1e3)
+                     : 0.25 * static_cast<double>(rng.uniform_int(-8, 8));
+    }
+    for (const double p : {0.0, 0.5, 50.0, 95.0, 99.0, 100.0}) {
+      const double want = by_sort(xs, p);
+      const double got = percentile(xs, p);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "n=" << n << " p=" << p << ": " << got << " vs " << want;
+    }
+  }
 }
 
 TEST(BatchStats, Pearson) {

@@ -19,7 +19,6 @@
 #include "util/thread_pool.hpp"
 #include "websim/cluster.hpp"
 #include "websim/config.hpp"
-#include "websim/des.hpp"
 #include "websim/tpcw.hpp"
 
 namespace harmony::websim {
@@ -64,31 +63,6 @@ TEST(GoldenMetrics, TunedConfigOrderingMixSeed7) {
   EXPECT_EQ(m.p95_latency_ms, 0x1.d2d57155267acp+11);   // 3734.67008454...
   EXPECT_EQ(m.drop_rate, 0x1.1f1e49daa8743p-1);
   EXPECT_EQ(m.cache_hit_rate, 0x1.95668fbf64f24p-1);
-}
-
-// Both event-queue backends implement the same (time, seq) total order, so
-// the simulator's observable output must be byte-identical whichever one
-// dispatches its events.
-TEST(GoldenMetrics, ByteIdenticalAcrossQueueBackends) {
-  SimOptions opts;
-  opts.seed = 42;
-  opts.measure_s = 10.0;
-
-  const DesQueueMode before = des_queue_mode();
-  set_des_queue_mode(DesQueueMode::kCalendar);
-  const SimMetrics cal = simulate_cluster(ClusterConfig{}, opts);
-  set_des_queue_mode(DesQueueMode::kBinaryHeap);
-  const SimMetrics heap = simulate_cluster(ClusterConfig{}, opts);
-  set_des_queue_mode(before);
-
-  EXPECT_EQ(cal.completed, heap.completed);
-  EXPECT_EQ(cal.dropped, heap.dropped);
-  EXPECT_EQ(cal.events, heap.events);
-  EXPECT_EQ(cal.wips, heap.wips);
-  EXPECT_EQ(cal.mean_latency_ms, heap.mean_latency_ms);
-  EXPECT_EQ(cal.p95_latency_ms, heap.p95_latency_ms);
-  EXPECT_EQ(cal.drop_rate, heap.drop_rate);
-  EXPECT_EQ(cal.cache_hit_rate, heap.cache_hit_rate);
 }
 
 // The batch evaluation path must reproduce the serial stream exactly at any

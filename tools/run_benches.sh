@@ -76,7 +76,7 @@ for b in $BENCHES; do
   extra=$(awk '
     BEGIN {
       n = split("EVENTS_PER_SEC events_per_sec SPECULATION_ speculation " \
-                "FAULT_TOLERANCE_ fault_tolerance SIMD_ simd DES_ des " \
+                "FAULT_TOLERANCE_ fault_tolerance SIMD_ simd " \
                 "PERSIST_ persistence SERVE_ serving " \
                 "INCFIT_ incremental_fit TOURNAMENT_ tournament", t, " ")
       for (i = 1; i < n; i += 2) { prefix[++k] = t[i]; section[k] = t[i + 1] }
