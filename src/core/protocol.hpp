@@ -40,7 +40,9 @@
 //   C: BYE
 //   S: OK
 // Any protocol violation yields "ERROR <message>" and leaves the session
-// state unchanged.
+// state unchanged. Clients may pipeline — send a request before the
+// previous reply has arrived (net::SocketTransport sends each REPORT with
+// the request after it) — and servers answer in request order.
 #pragma once
 
 #include <cstdint>
@@ -238,6 +240,9 @@ class HarmonyClient {
   [[nodiscard]] std::optional<Configuration> fetch();
 
   /// Reports the performance of the configuration from the last fetch().
+  /// A pipelining transport answers at once and sends the REPORT with the
+  /// next request, so a refused REPORT throws from the next fetch() or
+  /// close() instead.
   void report(double performance);
 
   /// Closes the session (BYE).

@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "util/error.hpp"
 
@@ -44,9 +45,25 @@ proto::Message SocketTransport::operator()(const proto::Message& request) {
     out_.insert(out_.end(), line.begin(), line.end());
     out_.push_back('\n');
   }
+  if (request.is("REPORT")) {
+    ++deferred_;
+    return proto::ok();
+  }
   write_all(fd_.get(), out_.data(), out_.size());
   out_.clear();
 
+  // Replies come back in request order: the buffered REPORTs' first.
+  std::optional<proto::Message> refused;
+  for (; deferred_ > 0; --deferred_) {
+    proto::Message reply = read_reply();
+    if (reply.is("ERROR") && !refused) refused = std::move(reply);
+  }
+  proto::Message reply = read_reply();
+  if (refused) return std::move(*refused);
+  return reply;
+}
+
+proto::Message SocketTransport::read_reply() {
   for (;;) {
     const StreamDecoder::Unit unit = decoder_.next();
     switch (unit.kind) {

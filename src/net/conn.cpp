@@ -72,7 +72,23 @@ void Connection::reject_pending(const std::string& what) {
   pending_ = PendingKind::kNone;
 }
 
-void Connection::execute_pending() {
+std::size_t Connection::execute_pending() {
+  if (!has_pending()) return 0;
+  const bool report = pending_ == PendingKind::kReportHot ||
+                      (pending_ == PendingKind::kMessage &&
+                       pending_msg_.is("REPORT"));
+  execute_one();
+  // A pipelined client sends its REPORT and the next request in one
+  // write: run that follower now, so both replies leave in one flush
+  // instead of the follower waiting out another coalescing cycle. Only
+  // one, and never a HELLO, which must pass admission on the loop thread.
+  if (!report || wants_close_ || !try_parse() || !has_pending()) return 1;
+  if (pending_ == PendingKind::kMessage && pending_msg_.is("HELLO")) return 1;
+  execute_one();
+  return 2;
+}
+
+void Connection::execute_one() {
   const std::size_t mark = out_.size();
   try {
     execute_step();

@@ -5,7 +5,8 @@
 // feeds it raw reads (on_input), which decode into at most one *pending*
 // request; the dispatcher then executes pending requests — possibly many
 // connections in parallel on the thread pool — and flushes the reply
-// buffers back on the loop thread.
+// buffers back on the loop thread. A REPORT runs together with the request
+// a pipelining client sent behind it, so a tuning step is one dispatch.
 //
 // Execution discipline: execute_pending() touches only this connection's
 // state plus shared *read-only* structures (the history database and a
@@ -25,6 +26,7 @@
 //    alone, never to the batch it executes in.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,11 +69,15 @@ class Connection {
   void reject_pending(const std::string& what);
 
   /// Executes the pending request against the session and queues the
-  /// reply. Safe to call concurrently with *other* connections'
-  /// execute_pending(); requires the shared analyzer (if any) to be
-  /// fitted first. A harmony::Error raised while building or encoding the
-  /// reply is fatal to this connection only (ERROR queued, wants_close()).
-  void execute_pending();
+  /// reply. When that request is a REPORT and the next request is already
+  /// buffered, that one runs too (unless it is a HELLO, which stays
+  /// pending for admission), its reply queued behind the REPORT's OK.
+  /// Returns the number of requests executed: 0, 1 or 2. Safe to call
+  /// concurrently with *other* connections' execute_pending(); requires
+  /// the shared analyzer (if any) to be fitted first. A harmony::Error
+  /// raised while building or encoding a reply is fatal to this connection
+  /// only (ERROR queued, wants_close()).
+  std::size_t execute_pending();
 
   [[nodiscard]] proto::ServerSession& session() noexcept { return session_; }
   /// Connection should be closed once its reply bytes have drained.
@@ -98,7 +104,9 @@ class Connection {
   [[nodiscard]] bool binary() const noexcept {
     return decoder_.mode() == StreamDecoder::Mode::kBinary;
   }
-  /// execute_pending()'s body: runs the pending request, queues the reply.
+  /// Runs the pending request, turning a reply error into fatal().
+  void execute_one();
+  /// execute_one()'s body: runs the pending request, queues the reply.
   void execute_step();
   void queue_reply(const proto::Message& m);
   void fatal(const std::string& what);

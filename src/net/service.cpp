@@ -1,12 +1,13 @@
 #include "net/service.hpp"
 
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -20,6 +21,10 @@ namespace harmony::net {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+/// How long the shutdown drain waits on a connection that accepts no
+/// reply bytes before closing it.
+constexpr std::chrono::seconds kDrainStall{1};
 }  // namespace
 
 struct TuningService::Slot {
@@ -170,7 +175,14 @@ bool TuningService::handle_readable(Slot* slot) {
       close_slot(slot);
       return false;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      // Replies queued without a request to dispatch (the ERROR for an
+      // unparsable line) would otherwise wait for the next request.
+      if (!slot->conn.has_pending() && slot->conn.output_size() > 0) {
+        return flush_output(slot);
+      }
+      return true;
+    }
     if (errno == EINTR) continue;
     close_slot(slot);
     return false;
@@ -211,17 +223,19 @@ void TuningService::dispatch_batch(const std::vector<Slot*>& batch) {
     if (s->conn.has_pending()) exec.push_back(s);
   }
   if (!exec.empty()) {
-    stats_.steps += exec.size();
     // One classifier fit for the whole batch — steady-state ingest extends
     // the database's append chain, so usually an O(batch) incremental
     // update, not an O(db) rebuild — then the connections' steps in
-    // parallel, then one group commit for every session that finished.
+    // parallel (a REPORT with the request pipelined behind it), then one
+    // group commit for every session that finished.
+    std::vector<std::size_t> executed(exec.size());
     stats_.records_ingested += execute_batch(
         analyzer_, db_, store_, exec.size(),
-        [&](std::size_t i) { exec[i]->conn.execute_pending(); },
+        [&](std::size_t i) { executed[i] = exec[i]->conn.execute_pending(); },
         [&](std::size_t i) {
           return exec[i]->conn.session().take_pending_experience();
         });
+    for (const std::size_t n : executed) stats_.steps += n;
     const auto& rs = analyzer_.refit_stats();
     stats_.full_refits = rs.full;
     stats_.incremental_refits = rs.incremental;
@@ -306,25 +320,52 @@ void TuningService::drain_and_close() {
   }
   if (!batch.empty()) dispatch_batch(batch);
 
-  // Push out any reply bytes still buffered (blocking writes now — the
-  // acked-before-drain guarantee), then close everything.
-  while (!conns_.empty()) {
-    Slot* slot = conns_.back().get();
-    Connection& c = slot->conn;
-    if (c.output_size() > 0 && c.fd() >= 0) {
-      const int flags = ::fcntl(c.fd(), F_GETFL, 0);
-      if (flags >= 0) (void)::fcntl(c.fd(), F_SETFL, flags & ~O_NONBLOCK);
-      while (c.output_size() > 0) {
+  // Push out the reply bytes still buffered — the acked-before-drain
+  // guarantee — then close everything. A peer that accepts no bytes for
+  // kDrainStall is given up on: it is not reading, and waiting on it would
+  // hold the whole shutdown. DONE leaves only after its record's ingest,
+  // so closing early loses no acknowledged record.
+  struct Draining {
+    Slot* slot;
+    Clock::time_point progress;  ///< last time the peer accepted bytes
+  };
+  std::vector<Draining> draining;
+  std::vector<pollfd> fds;
+  const Clock::time_point start = Clock::now();
+  for (const auto& s : conns_) draining.push_back({s.get(), start});
+  while (!draining.empty()) {
+    const Clock::time_point now = Clock::now();
+    Clock::time_point wake = now + kDrainStall;
+    fds.clear();
+    for (auto it = draining.begin(); it != draining.end();) {
+      Connection& c = it->slot->conn;
+      bool gone = false;
+      while (!gone && c.output_size() > 0) {
         const ssize_t n = ::write(c.fd(), c.output_data(), c.output_size());
         if (n > 0) {
           c.consume_output(static_cast<std::size_t>(n));
+          it->progress = now;
+        } else if (n < 0 && errno == EINTR) {
           continue;
+        } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+          break;
+        } else {
+          gone = true;  // the peer is gone; nothing more to deliver
         }
-        if (n < 0 && errno == EINTR) continue;
-        break;  // the peer is gone; nothing more to deliver
       }
+      if (gone || c.output_size() == 0 || now - it->progress >= kDrainStall) {
+        close_slot(it->slot);
+        it = draining.erase(it);
+        continue;
+      }
+      fds.push_back({c.fd(), POLLOUT, 0});
+      wake = std::min(wake, it->progress + kDrainStall);
+      ++it;
     }
-    close_slot(slot);
+    if (fds.empty()) break;
+    const auto wait_ms =
+        std::chrono::ceil<std::chrono::milliseconds>(wake - now).count();
+    (void)::poll(fds.data(), fds.size(), static_cast<int>(wait_ms));
   }
   if (store_ != nullptr) store_->flush();
 }

@@ -9,8 +9,9 @@
 //   2. execute_batch (core/server.hpp), the executor serve_batch shares:
 //      one analyzer fit for the whole batch, the connections'
 //      execute_pending() in parallel — pure reads of the shared database,
-//      each connection touching only itself — and one group commit for
-//      every session that finished in the batch.
+//      each connection touching only itself; a REPORT runs together with
+//      the request pipelined behind it — and one group commit for every
+//      session that finished in the batch.
 //
 // The window fires adaptively: as soon as every open connection has a
 // pending step (nothing left to wait for), when max_batch_steps is
@@ -27,6 +28,8 @@
 // The loop then stops accepting, drives the already-pending steps to
 // completion, ingests their experience, flushes the reply bytes and the
 // store, closes everything, and run() returns — no acked record is lost.
+// A peer that accepts no reply bytes for a second is closed rather than
+// waited on.
 #pragma once
 
 #include <atomic>

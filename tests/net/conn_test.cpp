@@ -126,6 +126,107 @@ TEST(Connection, TextAndBinarySessionsProduceIdenticalResults) {
   EXPECT_EQ(text_done[8], "simplex");
 }
 
+/// The queued reply bytes, left in place.
+std::string queued(const Connection& c) {
+  return {reinterpret_cast<const char*>(c.output_data()), c.output_size()};
+}
+
+/// Decodes every binary frame in `raw`, in order.
+std::vector<proto::Message> decode_frames(const std::string& raw) {
+  StreamDecoder d(StreamDecoder::Mode::kBinary);
+  d.append(reinterpret_cast<const std::uint8_t*>(raw.data()), raw.size());
+  std::vector<proto::Message> out;
+  for (StreamDecoder::Unit u = d.next();
+       u.kind == StreamDecoder::Unit::Kind::kFrame; u = d.next()) {
+    out.push_back(decode_frame_payload(u.payload, u.payload_len));
+  }
+  return out;
+}
+
+/// Opens a text session and fetches its first configuration.
+Configuration open_text_and_fetch(Connection& conn) {
+  feed(conn, std::string("HELLO app\nBUNDLES ") + kRsl + "\n");
+  EXPECT_EQ(step(conn), "OK\n");
+  EXPECT_EQ(step(conn), "OK 2\n");
+  feed(conn, "FETCH\n");
+  std::string line = step(conn);
+  line.pop_back();
+  const proto::Message config = proto::parse_message(line);
+  EXPECT_EQ(config.verb, "CONFIG");
+  return {parse_double(config.args[1]), parse_double(config.args[2])};
+}
+
+TEST(Connection, ReportRunsWithThePipelinedRequestInText) {
+  proto::SessionOptions opts;
+  Connection conn(Fd(), opts);
+  const Configuration first = open_text_and_fetch(conn);
+  feed(conn, "REPORT " + format_double(measure(first)) + "\nFETCH\n");
+  ASSERT_TRUE(conn.has_pending());
+  EXPECT_EQ(conn.execute_pending(), 2u);  // one dispatch, both requests
+  EXPECT_FALSE(conn.has_pending());
+  const std::string out = queued(conn);
+  ASSERT_EQ(out.substr(0, 3), "OK\n");  // replies in request order
+  EXPECT_EQ(out.substr(3, 7), "CONFIG ");
+  EXPECT_EQ(out.find('\n'), 2u);
+  EXPECT_EQ(out.find('\n', 3), out.size() - 1);
+}
+
+TEST(Connection, ReportRunsWithThePipelinedRequestInBinary) {
+  proto::SessionOptions opts;
+  Connection conn(Fd(), opts);
+  std::vector<std::uint8_t> out(kBinaryPreamble,
+                                kBinaryPreamble + sizeof kBinaryPreamble);
+  append_frame(out, {"HELLO", {"app"}});
+  append_frame(out, {"BUNDLES", {kRsl}});
+  append_fetch_frame(out);
+  feed(conn, out);
+  (void)step(conn);
+  (void)step(conn);
+  const std::vector<proto::Message> first = decode_frames(step(conn));
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(first[0].verb, "CONFIG");
+  out.clear();
+  append_report_frame(out, measure({parse_double(first[0].args[1]),
+                                    parse_double(first[0].args[2])}));
+  append_fetch_frame(out);
+  feed(conn, out);
+  EXPECT_EQ(conn.execute_pending(), 2u);
+  EXPECT_FALSE(conn.has_pending());
+  const std::vector<proto::Message> replies = decode_frames(queued(conn));
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].verb, "OK");
+  EXPECT_EQ(replies[1].verb, "CONFIG");
+}
+
+TEST(Connection, HelloBehindReportWaitsForAdmission) {
+  proto::SessionOptions opts;
+  Connection conn(Fd(), opts);
+  const Configuration first = open_text_and_fetch(conn);
+  feed(conn, "REPORT " + format_double(measure(first)) + "\nHELLO other\n");
+  EXPECT_EQ(conn.execute_pending(), 1u);
+  ASSERT_TRUE(conn.has_pending());
+  ASSERT_NE(conn.pending_message(), nullptr);
+  EXPECT_TRUE(conn.pending_message()->is("HELLO"));
+  EXPECT_EQ(queued(conn), "OK\n");
+}
+
+TEST(Connection, ReportPullsInAtMostOneFollower) {
+  proto::SessionOptions opts;
+  Connection conn(Fd(), opts);
+  const Configuration first = open_text_and_fetch(conn);
+  // The follower is itself a REPORT (refused: nothing outstanding); it
+  // must not pull in the FETCH behind it.
+  feed(conn, "REPORT " + format_double(measure(first)) +
+                 "\nREPORT 1\nFETCH\n");
+  EXPECT_EQ(conn.execute_pending(), 2u);
+  EXPECT_EQ(queued(conn), "OK\nERROR no configuration outstanding\n");
+  conn.consume_output(conn.output_size());
+  EXPECT_FALSE(conn.has_pending());  // still buffered, not yet decoded
+  ASSERT_TRUE(conn.try_parse());
+  ASSERT_TRUE(conn.has_pending());  // the FETCH, for the next dispatch
+  EXPECT_EQ(step(conn).substr(0, 7), "CONFIG ");
+}
+
 TEST(Connection, ByeRequestsClose) {
   proto::SessionOptions opts;
   Connection conn(Fd(), opts);

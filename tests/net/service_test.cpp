@@ -1,6 +1,11 @@
 #include "net/service.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <linux/sockios.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <optional>
@@ -13,7 +18,9 @@
 #include "core/history.hpp"
 #include "core/protocol.hpp"
 #include "net/client.hpp"
+#include "net/socket.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace harmony::net {
 namespace {
@@ -59,25 +66,97 @@ struct SessionOutcome {
   Configuration best;
   int evaluations = 0;
   std::string stop_reason;
+  std::string strategy;
+  std::vector<Measurement> trace;  ///< every configuration measured, in order
+  int requests = 0;                ///< transport calls, BYE included
 };
 
-SessionOutcome run_session(std::uint16_t port, bool binary,
-                           const std::string& label = "app") {
-  SocketTransport transport("127.0.0.1", port, binary);
-  proto::HarmonyClient client(
-      [&transport](const proto::Message& m) { return transport(m); });
-  client.open(label, kRsl);
-  (void)client.send_signature({0.0});
-  while (const std::optional<Configuration> config = client.fetch()) {
-    client.report(measure(*config));
-  }
+/// Fetches and reports on an open session until DONE.
+SessionOutcome tune_to_done(proto::HarmonyClient& client) {
   SessionOutcome out;
+  while (const std::optional<Configuration> config = client.fetch()) {
+    const double perf = measure(*config);
+    client.report(perf);
+    out.trace.push_back({*config, perf, false});
+  }
   out.best_perf = client.best_performance();
   out.best = client.best_configuration();
   out.evaluations = client.evaluations();
   out.stop_reason = client.stop_reason();
-  client.close();
+  out.strategy = client.server_strategy();
   return out;
+}
+
+/// Tunes the test surface to DONE through `transport`, then says BYE.
+SessionOutcome run_session(const proto::Transport& transport,
+                           const std::string& label = "app") {
+  int requests = 0;
+  proto::HarmonyClient client([&](const proto::Message& m) {
+    ++requests;
+    return transport(m);
+  });
+  client.open(label, kRsl);
+  (void)client.send_signature({0.0});
+  SessionOutcome out = tune_to_done(client);
+  client.close();
+  out.requests = requests;
+  return out;
+}
+
+SessionOutcome run_session(std::uint16_t port, bool binary,
+                           const std::string& label = "app") {
+  SocketTransport transport("127.0.0.1", port, binary);
+  return run_session(
+      [&transport](const proto::Message& m) { return transport(m); }, label);
+}
+
+void expect_same_session(const SessionOutcome& got,
+                         const SessionOutcome& want) {
+  EXPECT_EQ(got.best_perf, want.best_perf);
+  EXPECT_EQ(got.best, want.best);
+  EXPECT_EQ(got.evaluations, want.evaluations);
+  EXPECT_EQ(got.stop_reason, want.stop_reason);
+  EXPECT_EQ(got.strategy, want.strategy);
+  ASSERT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t i = 0; i < got.trace.size(); ++i) {
+    EXPECT_EQ(got.trace[i].config, want.trace[i].config) << "step " << i;
+    EXPECT_EQ(got.trace[i].performance, want.trace[i].performance);
+  }
+}
+
+/// Writes all of `bytes` to a blocking socket.
+void send_text(int fd, const std::string& bytes) {
+  for (std::size_t off = 0; off < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+/// The next line (without its newline) from `fd`, buffering what arrives
+/// past it in `pending`; "" when nothing completes a line within `ms`.
+std::string read_line(int fd, std::string& pending, int ms) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  for (;;) {
+    const std::size_t eol = pending.find('\n');
+    if (eol != std::string::npos) {
+      std::string line = pending.substr(0, eol);
+      pending.erase(0, eol + 1);
+      return line;
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd p{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&p, 1, static_cast<int>(left.count())) != 1) {
+      return "";
+    }
+    char buf[4096];
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n <= 0) return "";
+    pending.append(buf, static_cast<std::size_t>(n));
+  }
 }
 
 TEST(TuningService, ConcurrentTextAndBinaryClientsAgree) {
@@ -179,12 +258,14 @@ TEST(TuningService, StatsCountBatchesAndSteps) {
   ServiceOptions opts;
   opts.session.tuning.simplex.max_evaluations = 20;
   ServiceFixture fixture(opts);
-  (void)run_session(fixture.port(), true, "counted");
+  const SessionOutcome outcome = run_session(fixture.port(), true, "counted");
   fixture.stop();
   const ServiceStats& s = fixture.service().stats();
-  EXPECT_GT(s.steps, 0u);
   EXPECT_GT(s.batches, 0u);
-  EXPECT_GE(s.steps, s.batches);
+  // Every request executed counts, both halves of a REPORT + FETCH pair
+  // included, so a lone pipelining client runs fewer dispatches than steps.
+  EXPECT_EQ(s.steps, static_cast<std::uint64_t>(outcome.requests));
+  EXPECT_LT(s.batches, s.steps);
 }
 
 TEST(TuningService, WhitespaceLabelReachesTextClientAsOneToken) {
@@ -258,6 +339,138 @@ TEST(TuningService, SubMillisecondCoalesceWindowIsHonoured) {
   EXPECT_LT(waited_ms - alone_ms, 0.5 * steps)
       << steps << " steps: " << alone_ms << " ms alone, " << waited_ms
       << " ms beside an idle connection";
+}
+
+// The socket client pipelines each REPORT behind the next request and the
+// service runs the two in one dispatch; neither may change what a session
+// computes. The oracle is the same exchange against a ServerSession in
+// process, one request at a time.
+TEST(TuningService, PipelinedSessionsMatchInProcessSession) {
+  ServiceOptions opts;
+  opts.session.tuning.simplex.max_evaluations = 40;
+  opts.session.record_experience = false;
+  ServiceFixture fixture(opts);
+
+  proto::ServerSession local(opts.session);
+  const SessionOutcome want = run_session(
+      [&local](const proto::Message& m) { return local.handle(m); });
+  ASSERT_GT(want.trace.size(), 10u);
+  for (const bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "text");
+    expect_same_session(run_session(fixture.port(), binary), want);
+  }
+  fixture.stop();
+  EXPECT_EQ(fixture.service().stats().wire_errors, 0u);
+}
+
+// A REPORT's reply is read by the next call: a refused REPORT surfaces
+// there with the server's message, and the stream stays in step.
+TEST(TuningService, RefusedReportSurfacesFromTheNextCall) {
+  ServiceOptions opts;
+  opts.session.tuning.simplex.max_evaluations = 20;
+  opts.session.record_experience = false;
+  ServiceFixture fixture(opts);
+  const SessionOutcome want = run_session(fixture.port(), false);
+
+  for (const bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "text");
+    SocketTransport transport("127.0.0.1", fixture.port(), binary);
+    proto::HarmonyClient client(
+        [&transport](const proto::Message& m) { return transport(m); });
+    client.open("app", kRsl);
+    client.report(1.0);  // nothing outstanding: the server refuses it
+    try {
+      (void)client.send_signature({0.0});
+      ADD_FAILURE() << "refused REPORT went unnoticed";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "server error: no configuration outstanding");
+    }
+    // The SIGNATURE behind the refused REPORT still ran: the session goes
+    // on exactly like an undisturbed one.
+    expect_same_session(tune_to_done(client), want);
+    client.close();
+  }
+}
+
+// An unparsable text line is answered at once, not when the client's next
+// valid request happens to flush the connection.
+TEST(TuningService, UnparsableLineIsAnsweredWithoutAFollowingRequest) {
+  ServiceFixture fixture;
+  const Fd raw = connect_tcp("127.0.0.1", fixture.port());
+  send_text(raw.get(), "   \n");
+  std::string pending;
+  EXPECT_EQ(read_line(raw.get(), pending, 1000).substr(0, 6), "ERROR ");
+}
+
+// A peer that never reads cannot hold the shutdown: the drain closes a
+// connection that accepts no bytes for a while, and still delivers the
+// reply of every step it executes to the peers that do read.
+TEST(TuningService, DrainGivesUpOnAPeerThatNeverReads) {
+  ServiceOptions opts;
+  opts.session.tuning.simplex.max_evaluations = 20;
+  opts.session.record_experience = false;
+  // Long enough that the reader's last step is still waiting in the
+  // coalescing window (beside the idle flooder) when stop() arrives.
+  opts.coalesce_window_us = 5000000;
+  ServiceFixture fixture(opts);
+  const SessionOutcome want = run_session(fixture.port(), false);
+
+  // The reader plays the same session, one request at a time, up to its
+  // final FETCH.
+  const Fd reader = connect_tcp("127.0.0.1", fixture.port());
+  std::string pending;
+  const auto call = [&](const std::string& line) {
+    send_text(reader.get(), line + "\n");
+    return read_line(reader.get(), pending, 2000);
+  };
+  ASSERT_EQ(call("HELLO app"), "OK");
+  ASSERT_EQ(call(std::string("BUNDLES ") + kRsl), "OK 2");
+  ASSERT_EQ(call("SIGNATURE 1 0"), "OK");
+  for (const Measurement& m : want.trace) {
+    ASSERT_EQ(call("FETCH").substr(0, 7), "CONFIG ");
+    ASSERT_EQ(call("REPORT " + format_double(m.performance)), "OK");
+  }
+
+  // The flooder: a small receive buffer, a burst of unparsable lines whose
+  // ERROR replies overflow the socket buffers, and no read, ever.
+  const Fd hog = connect_tcp("127.0.0.1", fixture.port());
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(hog.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof rcvbuf),
+            0);
+  std::string flood;
+  for (int i = 0; i < 100000; ++i) flood += "   \n";
+  send_text(hog.get(), flood);
+  // Wait until the server holds every flood byte, then send the reader's
+  // last step and let two probe round trips prove the loop has read both:
+  // each probe reply comes from a later loop pass than the bytes it
+  // follows.
+  for (int unsent = 1; unsent > 0;) {
+    ASSERT_EQ(::ioctl(hog.get(), SIOCOUTQ, &unsent), 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  send_text(reader.get(), "FETCH\n");
+  const Fd probe = connect_tcp("127.0.0.1", fixture.port());
+  std::string probed;
+  for (int i = 0; i < 2; ++i) {
+    send_text(probe.get(), "   \n");
+    ASSERT_EQ(read_line(probe.get(), probed, 5000).substr(0, 6), "ERROR ");
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  fixture.stop();
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took.count(), 5.0);
+
+  // The final dispatch ran the reader's FETCH and delivered its DONE.
+  const proto::Message done =
+      proto::parse_message(read_line(reader.get(), pending, 2000));
+  ASSERT_EQ(done.verb, "DONE");
+  ASSERT_GE(done.args.size(), 4u);
+  EXPECT_EQ(parse_double(done.args[1]), want.best[0]);
+  EXPECT_EQ(parse_double(done.args[2]), want.best[1]);
+  EXPECT_EQ(parse_double(done.args[3]), want.best_perf);
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ struct ThreadResult {
   std::uint64_t acked = 0;     ///< sessions that received DONE
   std::uint64_t rejected = 0;  ///< sessions refused by an admission ERROR
   std::uint64_t aborted = 0;   ///< sessions cut off (daemon drain)
-  std::uint64_t steps = 0;     ///< REPORTs delivered
+  std::uint64_t steps = 0;     ///< configurations measured and reported
   std::uint32_t full_refits = 0;         ///< server totals from the last DONE
   std::uint32_t incremental_refits = 0;  ///< (running counters; keep the max)
   Histogram latency{0.0, 1e6, 2000};  ///< per-step latency, microseconds
@@ -134,7 +134,8 @@ void run_client(const CliOptions& cli, const std::string& rsl,
       client.open(cli.label, rsl);
       (void)client.send_signature({0.0});
       for (;;) {
-        // Post-admission step latency: one FETCH (+REPORT) round trip.
+        // Post-admission step latency: one round trip, the FETCH carrying
+        // the previous step's pipelined REPORT.
         const Clock::time_point t0 = Clock::now();
         const std::optional<Configuration> config = client.fetch();
         if (!config) {
