@@ -21,8 +21,6 @@
 #include "core/strategies.hpp"
 #include "synth/ecommerce.hpp"
 #include "synth/landscapes.hpp"
-#include "linalg/lstsq.hpp"
-#include "linalg/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "websim/cluster.hpp"
@@ -300,9 +298,9 @@ void BM_SignatureScanBlocked(benchmark::State& state) {
 BENCHMARK(BM_SignatureScanBlocked)->Arg(1 << 10)->Arg(1 << 17);
 
 // ---------------------------------------------------------------------------
-// SIMD dispatch levels head to head. Arg(0/1/2) selects
-// kScalar/kAvx2/kAvx512; levels the host CPU lacks are skipped, so the same
-// binary reports whatever the machine supports.
+// SIMD dispatch levels head to head. Arg(0/1) selects kScalar/kAvx2; a
+// level the host CPU lacks is skipped, so the same binary reports whatever
+// the machine supports.
 
 bool skip_unsupported(benchmark::State& state, SimdLevel level) {
   if (simd_supported(level)) return false;
@@ -330,8 +328,7 @@ void BM_DistanceScanLevel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(1));
   state.SetLabel(simd_level_name(level));
 }
-BENCHMARK(BM_DistanceScanLevel)
-    ->Args({0, 1 << 17})->Args({1, 1 << 17})->Args({2, 1 << 17});
+BENCHMARK(BM_DistanceScanLevel)->Args({0, 1 << 17})->Args({1, 1 << 17});
 
 // ---------------------------------------------------------------------------
 // Least-square retrieval through the k-d index. Args: {clustered (0/1),
@@ -446,29 +443,7 @@ void BM_KMeansAssignLevel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows));
   state.SetLabel(simd_level_name(level));
 }
-BENCHMARK(BM_KMeansAssignLevel)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_LstsqSolveLevel(benchmark::State& state) {
-  const auto level = static_cast<SimdLevel>(state.range(0));
-  if (skip_unsupported(state, level)) return;
-  const SimdLevel before = simd_level();
-  set_simd_level(level);
-  const std::size_t rows = 200, cols = 8;
-  Rng rng(9);
-  linalg::Matrix a(rows, cols);
-  std::vector<double> b(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) a(r, c) = rng.uniform(-2.0, 2.0);
-    b[r] = rng.uniform(-1.0, 1.0);
-  }
-  for (auto _ : state) {
-    const auto res = linalg::least_squares(a, b);
-    benchmark::DoNotOptimize(res.x.data());
-  }
-  set_simd_level(before);
-  state.SetLabel(simd_level_name(level));
-}
-BENCHMARK(BM_LstsqSolveLevel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_KMeansAssignLevel)->Arg(0)->Arg(1);
 
 void BM_RslParse(benchmark::State& state) {
   std::string spec;

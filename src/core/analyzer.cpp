@@ -10,12 +10,16 @@
 #include <limits>
 #include <numeric>
 
-#include "linalg/simd_kernels.hpp"
 #include "util/error.hpp"
 
 namespace harmony {
 
 namespace {
+
+/// dst[i] += src[i] for i in [0, n): the k-means centroid accumulation.
+void vec_add(double* dst, const double* src, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
+}
 
 // -1 = unresolved, 0 = off, 1 = on. Same lazy-env idiom as the SIMD level:
 // first query reads HARMONY_INCREMENTAL_FIT, set_incremental_fit overrides.
@@ -528,9 +532,7 @@ void KMeansClassifier::fit(const SignatureView& view) {
     std::fill(counts.begin(), counts.end(), std::size_t{0});
     for (std::size_t i = 0; i < n; ++i) {
       const double* row = view.row(i);
-      // Element-wise adds: each coordinate is its own chain, so the
-      // vectorized accumulation rounds identically to the scalar loop.
-      linalg::vec_add_inplace(sums.data() + assignment_[i] * dims, row, dims);
+      vec_add(sums.data() + assignment_[i] * dims, row, dims);
       ++counts[assignment_[i]];
     }
     for (std::size_t c = 0; c < k; ++c) {
@@ -606,7 +608,7 @@ bool KMeansClassifier::update(const SignatureView& view,
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t c = assignment_[i];
       if (!touched[c]) continue;
-      linalg::vec_add_inplace(sums.data() + c * dims, view.row(i), dims);
+      vec_add(sums.data() + c * dims, view.row(i), dims);
       ++counts[c];
     }
     for (std::size_t c = 0; c < k_eff_; ++c) {

@@ -84,9 +84,9 @@ inline constexpr std::size_t kDimChunk = 64;
 /// Range form: folds rows [first, last) into the
 /// running (best_dist_sq, best_index) pair. Skipped rows never update the
 /// pair, so folding disjoint ranges in index order reproduces the full
-/// serial scan exactly. Dispatches on simd_level(): the vector kernels run
+/// serial scan exactly. Dispatches on simd_level(): the AVX2 kernel runs
 /// one row per lane (each lane is that row's entire forward accumulation
-/// chain), so every level returns bit-identical results.
+/// chain), so both levels return bit-identical results.
 void nearest_signature_scan(const double* data, std::size_t dims,
                             std::size_t first, std::size_t last,
                             const double* query, double& best_dist_sq,
@@ -99,8 +99,9 @@ void nearest_signature_scan_scalar(const double* data, std::size_t dims,
                                    std::size_t& best_index);
 
 /// Explicit-level range fold (benches and differential tests); kScalar runs
-/// the blocked kernel, kAvx2/kAvx512 the in-register-transpose kernels.
-/// Falls back to scalar where the requested ISA is not compiled in.
+/// the blocked kernel, kAvx2 the in-register-transpose kernel, the only
+/// vector kernel in the code base. Falls back to scalar where AVX2 is not
+/// compiled in (non-x86 hosts).
 void nearest_signature_scan_level(SimdLevel level, const double* data,
                                   std::size_t dims, std::size_t first,
                                   std::size_t last, const double* query,

@@ -1,20 +1,21 @@
-// SIMD row-lane kernels for the signature distance scans, plus the level
-// dispatchers for the scan entry points (DESIGN.md §11).
+// The AVX2 row-lane kernel for the signature distance scan, plus the level
+// dispatcher for the scan entry points (DESIGN.md §11). It is the one
+// vector kernel in the code base; everything else runs scalar.
 //
 // Bit-identity strategy: vector lanes run ACROSS rows — lane L carries row
 // L's entire forward accumulation chain, one separately-rounded
 // (sub, mul, add) triple per dimension in dimension order — so every
 // per-row sum performs exactly the scalar reference's operations in the
-// scalar reference's order. The 4x4 (AVX2) and 8x8 (AVX-512) in-register
-// transposes only move data between lanes; they never touch a rounding.
-// Early-exit masks are conservative in both directions: a vector-computed
-// row the scalar path would have skipped provably fails the strict-<
-// argmin update, and a vector-skipped row provably cannot win, so the
-// running (best, index) fold is identical at every level.
+// scalar reference's order. The 4x4 in-register transpose only moves data
+// between lanes; it never touches a rounding. Early-exit masks are
+// conservative in both directions: a vector-computed row the scalar path
+// would have skipped provably fails the strict-< argmin update, and a
+// vector-skipped row provably cannot win, so the running (best, index)
+// fold is identical at both levels.
 //
 // Compiled with -ffp-contract=off (see core/CMakeLists.txt) so the
 // compiler cannot fuse the explicit mul+add pairs — or the scalar
-// remainder loops compiled under the avx512f target attribute — into FMAs.
+// remainder loops compiled under the avx2 target attribute — into FMAs.
 #include "core/analyzer.hpp"
 
 #include <cstddef>
@@ -159,133 +160,6 @@ __attribute__((target("avx2"))) void scan_avx2(
   }
 }
 
-// --------------------------------------------------------------- AVX-512
-
-// GCC's _mm512_unpack*/shuffle_f64x2 intrinsics pass the documented
-// _mm512_undefined_pd() merge operand, which -Wuninitialized flags at the
-// inline-expansion site; the value is masked out by the full writemask.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-
-/// One 8-row x 8-dim tile: full 8x8 in-register transpose (8 unpacks plus
-/// 16 cross-lane 128-bit shuffles), then the eight dimensions in order.
-__attribute__((target("avx512f"))) inline __m512d tile8_avx512(
-    const double* rows, std::size_t dims, const __m512d* qv, std::size_t d,
-    __m512d acc) {
-  const __m512d r0 = _mm512_loadu_pd(rows + d);
-  const __m512d r1 = _mm512_loadu_pd(rows + dims + d);
-  const __m512d r2 = _mm512_loadu_pd(rows + 2 * dims + d);
-  const __m512d r3 = _mm512_loadu_pd(rows + 3 * dims + d);
-  const __m512d r4 = _mm512_loadu_pd(rows + 4 * dims + d);
-  const __m512d r5 = _mm512_loadu_pd(rows + 5 * dims + d);
-  const __m512d r6 = _mm512_loadu_pd(rows + 6 * dims + d);
-  const __m512d r7 = _mm512_loadu_pd(rows + 7 * dims + d);
-  const __m512d t0 = _mm512_unpacklo_pd(r0, r1);
-  const __m512d t1 = _mm512_unpackhi_pd(r0, r1);
-  const __m512d t2 = _mm512_unpacklo_pd(r2, r3);
-  const __m512d t3 = _mm512_unpackhi_pd(r2, r3);
-  const __m512d t4 = _mm512_unpacklo_pd(r4, r5);
-  const __m512d t5 = _mm512_unpackhi_pd(r4, r5);
-  const __m512d t6 = _mm512_unpacklo_pd(r6, r7);
-  const __m512d t7 = _mm512_unpackhi_pd(r6, r7);
-  const __m512d u0 = _mm512_shuffle_f64x2(t0, t2, 0x44);
-  const __m512d u1 = _mm512_shuffle_f64x2(t0, t2, 0xEE);
-  const __m512d u2 = _mm512_shuffle_f64x2(t4, t6, 0x44);
-  const __m512d u3 = _mm512_shuffle_f64x2(t4, t6, 0xEE);
-  const __m512d v0 = _mm512_shuffle_f64x2(t1, t3, 0x44);
-  const __m512d v1 = _mm512_shuffle_f64x2(t1, t3, 0xEE);
-  const __m512d v2 = _mm512_shuffle_f64x2(t5, t7, 0x44);
-  const __m512d v3 = _mm512_shuffle_f64x2(t5, t7, 0xEE);
-  const __m512d c0 = _mm512_shuffle_f64x2(u0, u2, 0x88);
-  const __m512d c1 = _mm512_shuffle_f64x2(v0, v2, 0x88);
-  const __m512d c2 = _mm512_shuffle_f64x2(u0, u2, 0xDD);
-  const __m512d c3 = _mm512_shuffle_f64x2(v0, v2, 0xDD);
-  const __m512d c4 = _mm512_shuffle_f64x2(u1, u3, 0x88);
-  const __m512d c5 = _mm512_shuffle_f64x2(v1, v3, 0x88);
-  const __m512d c6 = _mm512_shuffle_f64x2(u1, u3, 0xDD);
-  const __m512d c7 = _mm512_shuffle_f64x2(v1, v3, 0xDD);
-  __m512d w;
-  w = _mm512_sub_pd(c0, qv[0]);
-  acc = _mm512_add_pd(acc, _mm512_mul_pd(w, w));
-  w = _mm512_sub_pd(c1, qv[1]);
-  acc = _mm512_add_pd(acc, _mm512_mul_pd(w, w));
-  w = _mm512_sub_pd(c2, qv[2]);
-  acc = _mm512_add_pd(acc, _mm512_mul_pd(w, w));
-  w = _mm512_sub_pd(c3, qv[3]);
-  acc = _mm512_add_pd(acc, _mm512_mul_pd(w, w));
-  w = _mm512_sub_pd(c4, qv[4]);
-  acc = _mm512_add_pd(acc, _mm512_mul_pd(w, w));
-  w = _mm512_sub_pd(c5, qv[5]);
-  acc = _mm512_add_pd(acc, _mm512_mul_pd(w, w));
-  w = _mm512_sub_pd(c6, qv[6]);
-  acc = _mm512_add_pd(acc, _mm512_mul_pd(w, w));
-  w = _mm512_sub_pd(c7, qv[7]);
-  acc = _mm512_add_pd(acc, _mm512_mul_pd(w, w));
-  return acc;
-}
-
-__attribute__((target("avx512f"))) void scan_avx512(
-    const double* data, std::size_t dims, std::size_t first, std::size_t last,
-    const double* q, double& best_dist_sq, std::size_t& best_index) {
-  constexpr std::size_t kRows = 16;  // two independent zmm chains
-  std::size_t i = first;
-  for (; i + kRows <= last; i += kRows) {
-    const double* base = data + i * dims;
-    __m512d a0 = _mm512_setzero_pd();
-    __m512d a1 = _mm512_setzero_pd();
-    std::size_t d = 0;
-    bool alive = true;
-    while (d + kDimChunk <= dims) {
-      const std::size_t d1 = d + kDimChunk;
-      for (; d < d1; d += 8) {
-        __m512d qv[8];
-        for (int j = 0; j < 8; ++j) qv[j] = _mm512_set1_pd(q[d + j]);
-        a0 = tile8_avx512(base, dims, qv, d, a0);
-        a1 = tile8_avx512(base + 8 * dims, dims, qv, d, a1);
-      }
-      const __m512d bestv = _mm512_set1_pd(best_dist_sq);
-      const __mmask8 ge = _mm512_cmp_pd_mask(a0, bestv, _CMP_GE_OQ) &
-                          _mm512_cmp_pd_mask(a1, bestv, _CMP_GE_OQ);
-      if (ge == 0xFF) {
-        alive = false;
-        break;
-      }
-    }
-    if (!alive) continue;
-    for (; d + 8 <= dims; d += 8) {
-      __m512d qv[8];
-      for (int j = 0; j < 8; ++j) qv[j] = _mm512_set1_pd(q[d + j]);
-      a0 = tile8_avx512(base, dims, qv, d, a0);
-      a1 = tile8_avx512(base + 8 * dims, dims, qv, d, a1);
-    }
-    if (d == dims) {
-      // Final lane sums: skip the scalar update loop when no lane can win.
-      const __m512d bestv = _mm512_set1_pd(best_dist_sq);
-      const __mmask8 lt = _mm512_cmp_pd_mask(a0, bestv, _CMP_LT_OQ) |
-                          _mm512_cmp_pd_mask(a1, bestv, _CMP_LT_OQ);
-      if (lt == 0) continue;
-    }
-    alignas(64) double acc[kRows];
-    _mm512_store_pd(acc + 0, a0);
-    _mm512_store_pd(acc + 8, a1);
-    // Tail dims (< 8) and the index-order strict-< argmin update.
-    for (std::size_t r = 0; r < kRows; ++r) {
-      const double dist =
-          signature_partial_sq(base + r * dims, q, d, dims, acc[r]);
-      if (dist < best_dist_sq) {
-        best_dist_sq = dist;
-        best_index = i + r;
-      }
-    }
-  }
-  if (i < last) {
-    nearest_signature_scan_scalar(data, dims, i, last, q, best_dist_sq,
-                                  best_index);
-  }
-}
-
-#pragma GCC diagnostic pop
-
 #endif  // HARMONY_X86
 
 }  // namespace
@@ -296,10 +170,6 @@ void nearest_signature_scan_level(SimdLevel level, const double* data,
                                   double& best_dist_sq,
                                   std::size_t& best_index) {
 #if HARMONY_X86
-  if (level == SimdLevel::kAvx512) {
-    return scan_avx512(data, dims, first, last, query, best_dist_sq,
-                       best_index);
-  }
   if (level == SimdLevel::kAvx2) {
     return scan_avx2(data, dims, first, last, query, best_dist_sq,
                      best_index);

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <ostream>
 
-#include "linalg/simd_kernels.hpp"
 #include "util/error.hpp"
 
 namespace harmony::linalg {
@@ -65,7 +64,8 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
       // Skip zero contributions (sparse normal-equations rows). The skip is
       // semantic, not just fast: adding a*rhs would differ for inf/nan.
       if (a == 0.0) continue;
-      axpy_row(out_row, rhs.data() + k * rhs.cols_, a, rhs.cols_);
+      const double* rhs_row = rhs.data() + k * rhs.cols_;
+      for (std::size_t c = 0; c < rhs.cols_; ++c) out_row[c] += a * rhs_row[c];
     }
   }
   return out;

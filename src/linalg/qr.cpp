@@ -2,14 +2,31 @@
 
 #include <cmath>
 
-#include "linalg/simd_kernels.hpp"
 #include "util/error.hpp"
 
 namespace harmony::linalg {
 
 namespace {
 constexpr double kRankTolerance = 1e-10;
+
+/// Applies the Householder reflector of column `k` (v = (v0, a(k+1,k), ...,
+/// a(m-1,k)), scale `beta`) to the trailing columns c in [k+1, n) of the
+/// row-major m x n matrix `a`:
+///
+///   s_c  = beta * (v0 * a(k,c) + sum_{r=k+1..m-1} a(r,k) * a(r,c))
+///   a(k,c) -= s_c * v0
+///   a(r,c) -= s_c * a(r,k)      for r in [k+1, m)
+void apply_reflector(double* a, std::size_t m, std::size_t n, std::size_t k,
+                     double v0, double beta) {
+  for (std::size_t c = k + 1; c < n; ++c) {
+    double s = v0 * a[k * n + c];
+    for (std::size_t r = k + 1; r < m; ++r) s += a[r * n + k] * a[r * n + c];
+    s *= beta;
+    a[k * n + c] -= s * v0;
+    for (std::size_t r = k + 1; r < m; ++r) a[r * n + c] -= s * a[r * n + k];
+  }
 }
+}  // namespace
 
 QrDecomposition::QrDecomposition(const Matrix& a) : a_(a) {
   const std::size_t m = a_.rows();
@@ -36,10 +53,8 @@ QrDecomposition::QrDecomposition(const Matrix& a) : a_(a) {
       continue;
     }
     const double beta = 2.0 / vtv;
-    // Apply reflector to remaining columns. Columns are independent, so the
-    // kernel runs SIMD lanes across them (bit-identical per column to the
-    // scalar loop; see linalg/simd_kernels.hpp).
-    qr_apply_reflector(a_.data(), m, n, a_.cols(), k, v0, beta);
+    // Apply reflector to remaining columns.
+    apply_reflector(a_.data(), m, n, k, v0, beta);
     a_(k, k) = alpha;           // R diagonal
     // Store normalized reflector: keep v0 implicitly via beta_ and the
     // below-diagonal entries (already in place); remember v0 by scaling.

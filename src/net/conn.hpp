@@ -92,6 +92,12 @@ class Connection {
   }
   void consume_output(std::size_t n) noexcept;
 
+  /// Request bytes received but not yet decoded (those queued behind the
+  /// pending request, or a partial line or frame).
+  [[nodiscard]] std::size_t input_size() const noexcept {
+    return decoder_.buffered();
+  }
+
   // Admission bookkeeping, owned by the service.
   [[nodiscard]] bool admitted() const noexcept { return admitted_; }
   void set_admitted() noexcept { admitted_ = true; }

@@ -25,10 +25,28 @@ using Clock = std::chrono::steady_clock;
 /// How long the shutdown drain waits on a connection that accepts no
 /// reply bytes before closing it.
 constexpr std::chrono::seconds kDrainStall{1};
+
+/// How long the whole shutdown drain may take. A peer that reads a trickle
+/// restarts kDrainStall with every byte it accepts; this bounds it anyway.
+constexpr std::chrono::seconds kDrainDeadline{3};
+
+/// Bytes a connection may have queued, in replies the peer has not taken
+/// or in requests behind its pending one, before the loop stops reading
+/// its input. A pipelining client keeps at most two of each queued, far
+/// below this; a peer that sends without reading would otherwise grow
+/// either buffer without bound.
+constexpr std::size_t kBacklogCap = 64 * 1024;
+
+/// Whether the loop should read more of `c`'s input now.
+bool wants_input(const Connection& c) noexcept {
+  return c.output_size() < kBacklogCap &&
+         !(c.has_pending() && c.input_size() >= kBacklogCap);
+}
 }  // namespace
 
 struct TuningService::Slot {
   Connection conn;
+  bool epollin = true;  ///< current epoll interest
   bool epollout = false;
 
   Slot(Fd fd, proto::SessionOptions options, HistoryDatabase* db)
@@ -169,6 +187,10 @@ bool TuningService::handle_readable(Slot* slot) {
         ++stats_.wire_errors;
         return flush_output(slot);  // ERROR queued; close once drained
       }
+      // Over the backlog cap: stop reading until the peer takes its
+      // replies or its queued requests run (flush_output drops EPOLLIN
+      // while the connection stays over).
+      if (!wants_input(slot->conn)) return flush_output(slot);
       continue;
     }
     if (n == 0) {
@@ -258,25 +280,27 @@ bool TuningService::flush_output(Slot* slot) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!slot->epollout) {
-        loop_.modify(c.fd(), EPOLLIN | EPOLLOUT, slot);
-        slot->epollout = true;
-      }
+      watch(slot, wants_input(c), true);
       return true;
     }
     if (n < 0 && errno == EINTR) continue;
     close_slot(slot);  // EPIPE/reset: the client is gone
     return false;
   }
-  if (slot->epollout) {
-    loop_.modify(c.fd(), EPOLLIN, slot);
-    slot->epollout = false;
-  }
+  watch(slot, wants_input(c), false);
   if (c.wants_close()) {
     close_slot(slot);
     return false;
   }
   return true;
+}
+
+void TuningService::watch(Slot* slot, bool in, bool out) {
+  if (in == slot->epollin && out == slot->epollout) return;
+  loop_.modify(slot->conn.fd(), (in ? EPOLLIN : 0u) | (out ? EPOLLOUT : 0u),
+               slot);
+  slot->epollin = in;
+  slot->epollout = out;
 }
 
 void TuningService::close_slot(Slot* slot) {
@@ -323,8 +347,9 @@ void TuningService::drain_and_close() {
   // Push out the reply bytes still buffered — the acked-before-drain
   // guarantee — then close everything. A peer that accepts no bytes for
   // kDrainStall is given up on: it is not reading, and waiting on it would
-  // hold the whole shutdown. DONE leaves only after its record's ingest,
-  // so closing early loses no acknowledged record.
+  // hold the whole shutdown. So is every peer still undelivered at
+  // kDrainDeadline, however steadily it reads. DONE leaves only after its
+  // record's ingest, so closing early loses no acknowledged record.
   struct Draining {
     Slot* slot;
     Clock::time_point progress;  ///< last time the peer accepted bytes
@@ -332,10 +357,11 @@ void TuningService::drain_and_close() {
   std::vector<Draining> draining;
   std::vector<pollfd> fds;
   const Clock::time_point start = Clock::now();
+  const Clock::time_point give_up = start + kDrainDeadline;
   for (const auto& s : conns_) draining.push_back({s.get(), start});
   while (!draining.empty()) {
     const Clock::time_point now = Clock::now();
-    Clock::time_point wake = now + kDrainStall;
+    Clock::time_point wake = std::min(now + kDrainStall, give_up);
     fds.clear();
     for (auto it = draining.begin(); it != draining.end();) {
       Connection& c = it->slot->conn;
@@ -353,7 +379,8 @@ void TuningService::drain_and_close() {
           gone = true;  // the peer is gone; nothing more to deliver
         }
       }
-      if (gone || c.output_size() == 0 || now - it->progress >= kDrainStall) {
+      if (gone || c.output_size() == 0 || now - it->progress >= kDrainStall ||
+          now >= give_up) {
         close_slot(it->slot);
         it = draining.erase(it);
         continue;

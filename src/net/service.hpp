@@ -115,9 +115,13 @@ class TuningService {
   bool handle_readable(Slot* slot);
   /// Executes every pending step across `batch` as one coalesced dispatch.
   void dispatch_batch(const std::vector<Slot*>& batch);
-  /// Writes queued reply bytes; arms/disarms EPOLLOUT as needed. Returns
-  /// false when the slot was closed (drained after BYE, or write error).
+  /// Writes queued reply bytes; arms EPOLLOUT while bytes remain, and
+  /// holds EPOLLIN off while the connection's backlog is over the cap.
+  /// Returns false when the slot was closed (drained after BYE, or write
+  /// error).
   bool flush_output(Slot* slot);
+  /// Sets the slot's epoll interest to EPOLLIN if `in`, EPOLLOUT if `out`.
+  void watch(Slot* slot, bool in, bool out);
   void close_slot(Slot* slot);
   void arm_listener(bool want);
   void drain_and_close();

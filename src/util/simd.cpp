@@ -13,7 +13,6 @@ namespace {
 SimdLevel detect_max_supported() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx512f")) return SimdLevel::kAvx512;
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
 #endif
   return SimdLevel::kScalar;
@@ -22,8 +21,7 @@ SimdLevel detect_max_supported() noexcept {
 SimdLevel parse_level(const char* name) {
   if (std::strcmp(name, "scalar") == 0) return SimdLevel::kScalar;
   if (std::strcmp(name, "avx2") == 0) return SimdLevel::kAvx2;
-  if (std::strcmp(name, "avx512") == 0) return SimdLevel::kAvx512;
-  HARMONY_REQUIRE(false, "HARMONY_SIMD must be 'scalar', 'avx2' or 'avx512'");
+  HARMONY_REQUIRE(false, "HARMONY_SIMD must be 'scalar' or 'avx2'");
 }
 
 SimdLevel initial_level() {
@@ -69,8 +67,6 @@ void set_simd_level(SimdLevel level) {
 
 const char* simd_level_name(SimdLevel level) noexcept {
   switch (level) {
-    case SimdLevel::kAvx512:
-      return "avx512";
     case SimdLevel::kAvx2:
       return "avx2";
     case SimdLevel::kScalar:

@@ -1,22 +1,22 @@
-// Runtime SIMD dispatch for the hot kernels.
+// Runtime SIMD dispatch for the signature distance scan.
 //
-// The three kernel families the tuning system sits on — the signature
-// distance scan, the k-means assignment/centroid loops, and the QR /
-// normal-equations inner loops — each carry a scalar reference
-// implementation plus AVX2 and AVX-512 variants. The active level is
-// chosen once at startup from CPUID (best supported), overridable with
-// HARMONY_SIMD=scalar|avx2|avx512 for differential testing, and at
-// runtime via set_simd_level() (benches flip levels to measure each path).
+// One kernel has a vector variant: the blocked signature scan behind the
+// least-square index's unindexed tail and the k-means centroid search
+// (core/analyzer_simd.cpp). It carries a scalar reference implementation,
+// which is also the portable path, and an AVX2 variant. The active level is
+// chosen once at startup from CPUID (AVX2 when the CPU has it), overridable
+// with HARMONY_SIMD=scalar|avx2 for differential testing, and at runtime via
+// set_simd_level() (benches flip levels to measure each path).
 //
-// Bit-identity contract: every vectorized kernel assigns one *independent
-// scalar reduction chain per SIMD lane* (a row of the distance scan, a
-// column of a QR reflector application) and combines lane results in index
-// order with the same strict-< / element-wise semantics as the scalar
+// Bit-identity contract: the vector kernel assigns one *independent scalar
+// reduction chain per SIMD lane* (one row of the scan) and combines lane
+// results in index order with the same strict-< semantics as the scalar
 // code. Lane arithmetic is expressed with explicit mul/add intrinsics
-// (never FMA; the SIMD translation units compile with -ffp-contract=off),
-// so each lane performs the scalar reference's exact operation sequence
-// and every result — values, argmin indices, tie resolution — is
-// bit-identical across levels, thread counts, and the golden CSV pins.
+// (never FMA; the kernel's translation unit compiles with
+// -ffp-contract=off), so each lane performs the scalar reference's exact
+// operation sequence and every result — values, argmin indices, tie
+// resolution — is bit-identical across levels, thread counts, and the
+// golden CSV pins.
 #pragma once
 
 namespace harmony {
@@ -25,7 +25,6 @@ namespace harmony {
 enum class SimdLevel : int {
   kScalar = 0,  ///< portable reference paths
   kAvx2 = 1,    ///< 256-bit doubles (4 lanes)
-  kAvx512 = 2,  ///< 512-bit doubles (8 lanes), AVX-512F
 };
 
 /// Best level this CPU supports (CPUID, cached after the first call).
@@ -44,7 +43,7 @@ enum class SimdLevel : int {
 /// paths). Throws harmony::Error when the CPU lacks `level`.
 void set_simd_level(SimdLevel level);
 
-/// "scalar", "avx2" or "avx512".
+/// "scalar" or "avx2".
 [[nodiscard]] const char* simd_level_name(SimdLevel level) noexcept;
 
 }  // namespace harmony

@@ -1,14 +1,17 @@
-// Differential battery for the SIMD-dispatched hot kernels.
+// Differential battery for the SIMD-dispatched signature scan.
 //
-// Every kernel family (distance scan, least-square classify, k-means fit and
-// classify, QR / least-squares) must return bit-identical results at every
-// available SimdLevel — values, argmin indices, lowest-index tie breaks —
-// at HARMONY_THREADS=1 and 8 alike, including on censored / fault-injected
-// inputs (infinities, huge sentinels, NaN rows). The scalar blocked kernel
-// is the reference; vector levels are compared against it with exact
-// double equality, never EXPECT_NEAR.
+// The distance scan, and the least-square and k-means classifiers built on
+// it, must return bit-identical results at every available SimdLevel —
+// values, argmin indices, lowest-index tie breaks — at HARMONY_THREADS=1
+// and 8 alike, including on censored / fault-injected inputs (infinities,
+// huge sentinels, NaN rows). The scalar blocked kernel is the reference;
+// the AVX2 level is compared against it with exact double equality, never
+// EXPECT_NEAR. The least-squares solver has no vector path; its solutions
+// are pinned to hexfloats instead, so a change to its loops cannot move a
+// bit unnoticed.
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -28,9 +31,6 @@ namespace {
 std::vector<SimdLevel> available_levels() {
   std::vector<SimdLevel> levels{SimdLevel::kScalar};
   if (simd_supported(SimdLevel::kAvx2)) levels.push_back(SimdLevel::kAvx2);
-  if (simd_supported(SimdLevel::kAvx512)) {
-    levels.push_back(SimdLevel::kAvx512);
-  }
   return levels;
 }
 
@@ -211,56 +211,54 @@ TEST(SimdKernels, KMeansBitIdenticalAcrossLevels) {
   }
 }
 
-TEST(SimdKernels, LeastSquaresSolveBitIdenticalAcrossLevels) {
-  DispatchGuard guard;
-  Rng rng(12);
-  for (const std::size_t rows : {8u, 40u}) {
-    for (const std::size_t cols : {3u, 8u}) {
-      linalg::Matrix a(rows, cols);
-      std::vector<double> b(rows);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          a(r, c) = rng.uniform(-2.0, 2.0);
-        }
-        b[r] = rng.uniform(-1.0, 1.0);
-      }
-      std::vector<std::vector<double>> solutions;
-      for (const SimdLevel level : available_levels()) {
-        set_simd_level(level);
-        const auto res = linalg::least_squares(a, b);
-        solutions.push_back(res.x);
-      }
-      for (std::size_t l = 1; l < solutions.size(); ++l) {
-        EXPECT_EQ(solutions[l], solutions[0])
-            << "rows=" << rows << " cols=" << cols << " level " << l;
-      }
-    }
+struct LinearSystem {
+  linalg::Matrix a;
+  std::vector<double> b;
+};
+
+/// A rows x cols system with entries in [-2, 2) and right-hand side in
+/// [-1, 1), drawn row by row from `seed`.
+LinearSystem random_system(std::uint64_t seed, std::size_t rows,
+                           std::size_t cols) {
+  Rng rng(seed);
+  LinearSystem s{linalg::Matrix(rows, cols), std::vector<double>(rows)};
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) s.a(r, c) = rng.uniform(-2.0, 2.0);
+    s.b[r] = rng.uniform(-1.0, 1.0);
   }
+  return s;
 }
 
-TEST(SimdKernels, RidgeFallbackBitIdenticalAcrossLevels) {
+TEST(LeastSquaresPins, FullRankSolutionsMatchPinnedBits) {
+  const LinearSystem small = random_system(12, 8, 3);
+  const auto small_fit = linalg::least_squares(small.a, small.b);
+  EXPECT_FALSE(small_fit.regularized);
+  EXPECT_EQ(small_fit.x, (std::vector<double>{-0x1.3225313e86675p-1,
+                                              -0x1.76661706a8304p-2,
+                                              0x1.81e9a904d68ccp-3}));
+
+  const LinearSystem tall = random_system(40, 40, 8);
+  const auto tall_fit = linalg::least_squares(tall.a, tall.b);
+  EXPECT_FALSE(tall_fit.regularized);
+  EXPECT_EQ(tall_fit.x,
+            (std::vector<double>{0x1.46f3f699b0f77p-5, 0x1.1dcdc6f6ba16ep-7,
+                                 -0x1.2b8cc079656dfp-5, 0x1.041068cae2cap-3,
+                                 -0x1.35dc5f8f7ab58p-5, 0x1.0738f132f1c29p-8,
+                                 -0x1.03c631b806427p-5,
+                                 -0x1.d583e2e92e381p-5}));
+}
+
+TEST(LeastSquaresPins, RidgeFallbackMatchesPinnedBits) {
   // Rank-deficient system: column 2 duplicates column 0, forcing the
-  // ridge-regularized path; it must dispatch identically too.
-  DispatchGuard guard;
-  Rng rng(44);
-  const std::size_t rows = 24, cols = 5;
-  linalg::Matrix a(rows, cols);
-  std::vector<double> b(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
-    a(r, 2) = a(r, 0);
-    b[r] = rng.uniform(-1.0, 1.0);
-  }
-  std::vector<std::vector<double>> solutions;
-  for (const SimdLevel level : available_levels()) {
-    set_simd_level(level);
-    const auto res = linalg::least_squares(a, b);
-    EXPECT_TRUE(res.regularized) << simd_level_name(level);
-    solutions.push_back(res.x);
-  }
-  for (std::size_t l = 1; l < solutions.size(); ++l) {
-    EXPECT_EQ(solutions[l], solutions[0]) << "level " << l;
-  }
+  // ridge-regularized path.
+  LinearSystem s = random_system(44, 24, 5);
+  for (std::size_t r = 0; r < 24; ++r) s.a(r, 2) = s.a(r, 0);
+  const auto fit = linalg::least_squares(s.a, s.b);
+  EXPECT_TRUE(fit.regularized);
+  EXPECT_EQ(fit.x,
+            (std::vector<double>{0x1.8fed2ea6da08fp-5, 0x1.20ccde2da7905p-4,
+                                 0x1.8fed3f27e93f7p-5, 0x1.bf3a984b6ea4ap-4,
+                                 -0x1.cf4a27020500dp-4}));
 }
 
 TEST(SimdKernels, LevelDispatchHonoursOverride) {

@@ -1,12 +1,13 @@
 #include "net/service.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <poll.h>
-#include <linux/sockios.h>
-#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -157,6 +158,86 @@ std::string read_line(int fd, std::string& pending, int ms) {
     if (n <= 0) return "";
     pending.append(buf, static_cast<std::size_t>(n));
   }
+}
+
+/// Connects with small socket buffers, so few bytes queue in the kernel on
+/// this side.
+Fd connect_small_buffers(std::uint16_t port) {
+  Fd fd = connect_tcp("127.0.0.1", port);
+  const int size = 16384;
+  EXPECT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &size, sizeof size),
+            0);
+  EXPECT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &size, sizeof size),
+            0);
+  return fd;
+}
+
+/// Streams copies of `line` (each answered with a reply) through `fd`,
+/// switched to non-blocking, and reads no reply. Stops once the peer has
+/// accepted nothing for half a second, or after `limit` bytes. Returns the
+/// bytes sent.
+std::size_t flood_unread(int fd, std::size_t limit,
+                         const std::string& line = "   \n") {
+  EXPECT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK), 0);
+  std::string chunk;
+  for (int i = 0; i < 1024; ++i) chunk += line;
+  std::size_t sent = 0;
+  while (sent < limit) {
+    const ssize_t n = ::write(fd, chunk.data(), chunk.size());
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      ADD_FAILURE() << "flood write failed: errno " << errno;
+      break;
+    }
+    pollfd p{fd, POLLOUT, 0};
+    if (::poll(&p, 1, 500) == 0) break;  // throttled
+  }
+  return sent;
+}
+
+/// Plays the session `want` was recorded from over `fd`, one text request
+/// at a time, up to (not including) its final FETCH.
+void play_until_last_fetch(int fd, std::string& pending,
+                           const SessionOutcome& want) {
+  const auto call = [&](const std::string& line) {
+    send_text(fd, line + "\n");
+    return read_line(fd, pending, 2000);
+  };
+  ASSERT_EQ(call("HELLO app"), "OK");
+  ASSERT_EQ(call(std::string("BUNDLES ") + kRsl), "OK 2");
+  ASSERT_EQ(call("SIGNATURE 1 0"), "OK");
+  for (const Measurement& m : want.trace) {
+    ASSERT_EQ(call("FETCH").substr(0, 7), "CONFIG ");
+    ASSERT_EQ(call("REPORT " + format_double(m.performance)), "OK");
+  }
+}
+
+/// Sends the reader's last FETCH, then proves with two probe round trips
+/// that the loop has read it: each probe reply comes from a later loop
+/// pass than the bytes it follows.
+void send_last_fetch(int reader, std::uint16_t port) {
+  send_text(reader, "FETCH\n");
+  const Fd probe = connect_tcp("127.0.0.1", port);
+  std::string probed;
+  for (int i = 0; i < 2; ++i) {
+    send_text(probe.get(), "   \n");
+    ASSERT_EQ(read_line(probe.get(), probed, 5000).substr(0, 6), "ERROR ");
+  }
+}
+
+/// Reads the reader's DONE and checks it against the recorded session.
+void expect_done(int reader, std::string& pending,
+                 const SessionOutcome& want) {
+  const proto::Message done =
+      proto::parse_message(read_line(reader, pending, 2000));
+  ASSERT_EQ(done.verb, "DONE");
+  ASSERT_GE(done.args.size(), 4u);
+  EXPECT_EQ(parse_double(done.args[1]), want.best[0]);
+  EXPECT_EQ(parse_double(done.args[2]), want.best[1]);
+  EXPECT_EQ(parse_double(done.args[3]), want.best_perf);
 }
 
 TEST(TuningService, ConcurrentTextAndBinaryClientsAgree) {
@@ -415,47 +496,15 @@ TEST(TuningService, DrainGivesUpOnAPeerThatNeverReads) {
   ServiceFixture fixture(opts);
   const SessionOutcome want = run_session(fixture.port(), false);
 
-  // The reader plays the same session, one request at a time, up to its
-  // final FETCH.
   const Fd reader = connect_tcp("127.0.0.1", fixture.port());
   std::string pending;
-  const auto call = [&](const std::string& line) {
-    send_text(reader.get(), line + "\n");
-    return read_line(reader.get(), pending, 2000);
-  };
-  ASSERT_EQ(call("HELLO app"), "OK");
-  ASSERT_EQ(call(std::string("BUNDLES ") + kRsl), "OK 2");
-  ASSERT_EQ(call("SIGNATURE 1 0"), "OK");
-  for (const Measurement& m : want.trace) {
-    ASSERT_EQ(call("FETCH").substr(0, 7), "CONFIG ");
-    ASSERT_EQ(call("REPORT " + format_double(m.performance)), "OK");
-  }
+  play_until_last_fetch(reader.get(), pending, want);
 
-  // The flooder: a small receive buffer, a burst of unparsable lines whose
-  // ERROR replies overflow the socket buffers, and no read, ever.
-  const Fd hog = connect_tcp("127.0.0.1", fixture.port());
-  const int rcvbuf = 4096;
-  ASSERT_EQ(::setsockopt(hog.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
-                         sizeof rcvbuf),
-            0);
-  std::string flood;
-  for (int i = 0; i < 100000; ++i) flood += "   \n";
-  send_text(hog.get(), flood);
-  // Wait until the server holds every flood byte, then send the reader's
-  // last step and let two probe round trips prove the loop has read both:
-  // each probe reply comes from a later loop pass than the bytes it
-  // follows.
-  for (int unsent = 1; unsent > 0;) {
-    ASSERT_EQ(::ioctl(hog.get(), SIOCOUTQ, &unsent), 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  send_text(reader.get(), "FETCH\n");
-  const Fd probe = connect_tcp("127.0.0.1", fixture.port());
-  std::string probed;
-  for (int i = 0; i < 2; ++i) {
-    send_text(probe.get(), "   \n");
-    ASSERT_EQ(read_line(probe.get(), probed, 5000).substr(0, 6), "ERROR ");
-  }
+  // The flooder: ERROR replies that overflow the socket buffers, and no
+  // read, ever. The flood ends once the service stops taking its bytes.
+  const Fd hog = connect_small_buffers(fixture.port());
+  (void)flood_unread(hog.get(), 1 << 20);
+  send_last_fetch(reader.get(), fixture.port());
 
   const auto t0 = std::chrono::steady_clock::now();
   fixture.stop();
@@ -464,13 +513,99 @@ TEST(TuningService, DrainGivesUpOnAPeerThatNeverReads) {
   EXPECT_LT(took.count(), 5.0);
 
   // The final dispatch ran the reader's FETCH and delivered its DONE.
-  const proto::Message done =
-      proto::parse_message(read_line(reader.get(), pending, 2000));
-  ASSERT_EQ(done.verb, "DONE");
-  ASSERT_GE(done.args.size(), 4u);
-  EXPECT_EQ(parse_double(done.args[1]), want.best[0]);
-  EXPECT_EQ(parse_double(done.args[2]), want.best[1]);
-  EXPECT_EQ(parse_double(done.args[3]), want.best_perf);
+  expect_done(reader.get(), pending, want);
+}
+
+// A peer that sends without ever reading cannot grow its buffers without
+// bound: past the backlog cap the service stops reading its input, so the
+// socket buffers fill and the peer's writes stop being accepted. The
+// limits are what the service would take if it kept reading; what it
+// takes instead is the cap plus the kernel's socket buffers.
+TEST(TuningService, PeerThatNeverReadsIsThrottled) {
+  ServiceFixture fixture;
+  {
+    // Unparsable lines: each is answered as it is decoded, so the reply
+    // buffer is what grows.
+    SCOPED_TRACE("unparsable lines");
+    const Fd hog = connect_small_buffers(fixture.port());
+    const std::size_t limit = 4 << 20;
+    const std::size_t sent = flood_unread(hog.get(), limit);
+    ASSERT_EQ(sent % 4, 0u);
+    EXPECT_LT(sent, limit / 4);
+
+    // Once the peer reads, the service picks up the rest of its input and
+    // answers every line.
+    std::size_t errors = 0;
+    std::string tail;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (errors < sent / 4 && std::chrono::steady_clock::now() < deadline) {
+      pollfd p{hog.get(), POLLIN, 0};
+      if (::poll(&p, 1, 1000) != 1) continue;
+      char buf[65536];
+      const ssize_t n = ::read(hog.get(), buf, sizeof buf);
+      if (n <= 0) continue;
+      tail.append(buf, static_cast<std::size_t>(n));
+      for (std::size_t eol; (eol = tail.find('\n')) != std::string::npos;) {
+        ASSERT_EQ(tail.substr(0, 6), "ERROR ");
+        tail.erase(0, eol + 1);
+        ++errors;
+      }
+    }
+    EXPECT_EQ(errors, sent / 4);
+  }
+  {
+    // Well-formed requests: each waits behind the pending one, so the
+    // undecoded input is what grows.
+    SCOPED_TRACE("pipelined requests");
+    const Fd hog = connect_small_buffers(fixture.port());
+    const std::size_t limit = 16 << 20;
+    EXPECT_LT(flood_unread(hog.get(), limit, "FETCH\n"), limit / 4);
+  }
+}
+
+// A peer that reads a trickle cannot hold the shutdown either: each read
+// lets a little more through and restarts the stall clock, but the drain
+// as a whole has a deadline, and a reader in the same shutdown still gets
+// its DONE. (The backlog cap already keeps the slow peer's queue short;
+// the deadline bounds whatever remains.)
+TEST(TuningService, DrainHasADeadlineForAPeerThatReadsATrickle) {
+  ServiceOptions opts;
+  opts.session.tuning.simplex.max_evaluations = 20;
+  opts.session.record_experience = false;
+  opts.coalesce_window_us = 5000000;  // as in DrainGivesUpOnAPeerThat...
+  ServiceFixture fixture(opts);
+  const SessionOutcome want = run_session(fixture.port(), false);
+
+  const Fd reader = connect_tcp("127.0.0.1", fixture.port());
+  std::string pending;
+  play_until_last_fetch(reader.get(), pending, want);
+
+  const Fd slow = connect_small_buffers(fixture.port());
+  (void)flood_unread(slow.get(), 4 << 20);
+  // 16 KB every 0.4 s, for at most 12 s: each read lets a little more
+  // through, so the stall clock keeps restarting.
+  std::atomic<bool> done_trickling{false};
+  std::thread trickle([&] {
+    const auto end =
+        std::chrono::steady_clock::now() + std::chrono::seconds(12);
+    while (!done_trickling.load() && std::chrono::steady_clock::now() < end) {
+      char buf[16384];
+      if (::read(slow.get(), buf, sizeof buf) == 0) break;  // closed
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    }
+  });
+  send_last_fetch(reader.get(), fixture.port());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  fixture.stop();
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  done_trickling.store(true);
+  trickle.join();
+  // The drain deadline is 3 s; allow 2 s of slack.
+  EXPECT_LT(took.count(), 5.0);
+  expect_done(reader.get(), pending, want);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 #
 # The battery runs twice: once on the default dispatched SIMD path and once
 # pinned to HARMONY_SIMD=scalar. Both passes must match the same hashes —
-# the vectorized kernels preserve the scalar reduction order exactly, so a
-# divergence here means a kernel broke the bit-identity contract.
+# the AVX2 scan kernel preserves the scalar reduction order exactly, so a
+# divergence here means it broke the bit-identity contract.
 # Usage: check_csv_goldens.sh <bench-build-dir> <golden-md5-file>
 set -eu
 
